@@ -14,7 +14,12 @@
 //     *cost factor* (EASY events/sec divided by conservative events/sec
 //     -- a same-machine ratio, so it normalizes out hardware speed) and
 //     exits 1 if it regressed more than 2x against the checked-in
-//     bench/perf_baseline.json.
+//     bench/perf_baseline.json; the auditor's overhead ratios are banded
+//     the same way;
+//   * --audit-overhead [--jobs N]: audited / bare replay time of the
+//     profile-keeping schedulers (conservative, slack, plan) over three
+//     N-job CTC traces, one JSON line each -- the auditor's scaling with
+//     trace size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/audit.hpp"
 #include "core/conservative_scheduler.hpp"
 #include "core/decision_core.hpp"
 #include "core/multi_profile.hpp"
@@ -514,6 +520,55 @@ DecisionLatencyStats measure_decision_latency(const workload::Trace& trace,
   return stats;
 }
 
+struct AuditOverhead {
+  std::string scheme;
+  double bare_seconds = 0.0;
+  double audited_seconds = 0.0;
+  /// audited / bare (1.0 = free): the auditor's cost as a same-machine
+  /// ratio. The smoke guard bands it.
+  double ratio = 1.0;
+  std::uint64_t checks = 0;  ///< ScheduleAuditor::checks(), summed
+};
+
+/// The auditor's overhead on one scheduler over `traces`: per trace, the
+/// fastest of interleaved bare and fatally audited replays (five pairs,
+/// up to fifty while under a second, fewer once ten seconds have passed
+/// on archive-size traces), summed over the traces.
+AuditOverhead measure_audit_overhead(
+    const std::vector<workload::Trace>& traces, core::SchedulerKind kind,
+    int procs) {
+  const core::SchedulerConfig config{procs, core::PriorityPolicy::Fcfs};
+  AuditOverhead point;
+  point.scheme = core::to_string(kind) + "-" + core::to_string(config.priority);
+  for (const workload::Trace& trace : traces) {
+    double bare_best = std::numeric_limits<double>::infinity();
+    double audited_best = std::numeric_limits<double>::infinity();
+    std::uint64_t checks = 0;
+    const auto begin = Clock::now();
+    for (int rep = 0; rep < 50; ++rep) {
+      const double elapsed = seconds_since(begin);
+      if (rep > 0 && (elapsed > 10.0 || (rep >= 5 && elapsed > 1.0))) break;
+      const auto bare = core::make_scheduler(kind, config);
+      auto start = Clock::now();
+      benchmark::DoNotOptimize(core::run_simulation(trace, *bare).makespan);
+      bare_best = std::min(bare_best, seconds_since(start));
+      const auto audited = core::make_scheduler(kind, config);
+      core::ScheduleAuditor auditor{*audited};
+      start = Clock::now();
+      benchmark::DoNotOptimize(
+          core::run_simulation(trace, *audited, {.auditor = &auditor})
+              .makespan);
+      audited_best = std::min(audited_best, seconds_since(start));
+      checks = auditor.checks();
+    }
+    point.bare_seconds += bare_best;
+    point.audited_seconds += audited_best;
+    point.checks += checks;
+  }
+  point.ratio = point.audited_seconds / point.bare_seconds;
+  return point;
+}
+
 struct SweepPoint {
   std::size_t threads = 0;  ///< requested worker count
   double seconds = 0.0;
@@ -588,6 +643,7 @@ SweepStats measure_sweep(std::size_t jobs) {
 struct ReportOptions {
   bool report = false;
   bool smoke = false;
+  bool audit_overhead = false;
   std::size_t jobs = 4000;
   std::string out = "BENCH_profile.json";
   std::string baseline = "bench/perf_baseline.json";
@@ -600,6 +656,7 @@ struct Report {
   AnchorStats anchors;
   BreakpointStats breakpoints;
   DecisionLatencyStats decision;
+  std::vector<AuditOverhead> audits;
   SweepStats sweep;
 };
 
@@ -629,6 +686,11 @@ Report build_report(std::size_t jobs) {
   report.anchors = measure_anchors(trace, procs);
   report.breakpoints = measure_breakpoints(trace, procs);
   report.decision = measure_decision_latency(trace, procs);
+  // The two schedulers whose audits cross-check a profile every cycle
+  // and replay fast enough for the smoke (plan: --audit-overhead).
+  for (const core::SchedulerKind kind :
+       {core::SchedulerKind::Conservative, core::SchedulerKind::Slack})
+    report.audits.push_back(measure_audit_overhead({trace}, kind, procs));
   report.sweep = measure_sweep(jobs);
   return report;
 }
@@ -690,8 +752,10 @@ void write_json(const Report& report, const std::string& path) {
       << "  \"decision_finish_p99_ns\": " << report.decision.finish_p99_ns
       << ",\n"
       << "  \"decision_seam_overhead\": " << report.decision.seam_overhead
-      << ",\n"
-      << "  \"sweep\": {\"cells\": " << report.sweep.cells
+      << ",\n";
+  for (const AuditOverhead& a : report.audits)
+    out << "  \"audit_overhead_" << a.scheme << "\": " << a.ratio << ",\n";
+  out << "  \"sweep\": {\"cells\": " << report.sweep.cells
       << ", \"deterministic\": "
       << (report.sweep.deterministic ? "true" : "false") << ", \"points\": [";
   for (std::size_t i = 0; i < report.sweep.points.size(); ++i) {
@@ -732,6 +796,11 @@ void print_report(const Report& report) {
               report.decision.submit_p50_ns, report.decision.submit_p99_ns,
               report.decision.finish_p50_ns, report.decision.finish_p99_ns,
               report.decision.seam_overhead);
+  for (const AuditOverhead& a : report.audits)
+    std::printf("audit overhead %s: %.2fx bare replay (%.4fs vs %.4fs, "
+                "%llu checks)\n",
+                a.scheme.c_str(), a.ratio, a.audited_seconds, a.bare_seconds,
+                static_cast<unsigned long long>(a.checks));
   for (const SweepPoint& p : report.sweep.points)
     std::printf("sweep throughput (%zu cells, %zu threads): %6.1f cells/sec "
                 "(%.3fs, %.2fx)\n",
@@ -870,6 +939,27 @@ int run_smoke(const ReportOptions& options) {
       std::printf("OK\n");
     }
   }
+  // The auditor's band: its cost over a bare replay of the same trace
+  // must stay within 2x of the recorded ratio -- a same-machine ratio
+  // like the seam's, so hardware speed cancels out. A return of the
+  // history-bound profile check (36x at 2k jobs, growing with the trace)
+  // trips it.
+  for (const AuditOverhead& a : report.audits) {
+    double base_ratio = 0.0;
+    if (!read_json_number(options.baseline, "audit_overhead_" + a.scheme,
+                          base_ratio) ||
+        base_ratio <= 0.0)
+      continue;
+    std::printf("perf smoke: audit_overhead_%s %.3f, baseline %.3f, "
+                "limit %.3f -- ",
+                a.scheme.c_str(), a.ratio, base_ratio, 2.0 * base_ratio);
+    if (a.ratio > 2.0 * base_ratio) {
+      std::printf("FAIL\n");
+      ok = false;
+    } else {
+      std::printf("OK\n");
+    }
+  }
   // A correctness gate, not a throughput gate: parallel efficiency varies
   // with the CI machine, but the merged metrics must never depend on the
   // worker count.
@@ -879,6 +969,35 @@ int run_smoke(const ReportOptions& options) {
     ok = false;
   }
   return ok ? 0 : 1;
+}
+
+int run_audit_overhead(const ReportOptions& options) {
+  // Several CTC traces, each from its own seed, so that one trace's
+  // queue dynamics do not decide the figure.
+  constexpr std::uint64_t kTraces = 3;
+  std::vector<workload::Trace> traces;
+  for (std::uint64_t seed = 1; seed <= kTraces; ++seed) {
+    exp::Scenario scenario;
+    scenario.trace = exp::TraceKind::Ctc;
+    scenario.jobs = options.jobs;
+    scenario.load = exp::kHighLoad;
+    scenario.seed = seed;
+    traces.push_back(exp::build_workload(scenario));
+  }
+  const int procs = exp::machine_procs(exp::TraceKind::Ctc);
+  for (const core::SchedulerKind kind :
+       {core::SchedulerKind::Conservative, core::SchedulerKind::Slack,
+        core::SchedulerKind::Plan}) {
+    const AuditOverhead a = measure_audit_overhead(traces, kind, procs);
+    std::printf("{\"jobs\": %zu, \"traces\": %llu, \"scheme\": \"%s\", "
+                "\"bare_s\": %.6g, \"audited_s\": %.6g, \"ratio\": %.4g, "
+                "\"checks\": %llu}\n",
+                options.jobs, static_cast<unsigned long long>(kTraces),
+                a.scheme.c_str(), a.bare_seconds, a.audited_seconds, a.ratio,
+                static_cast<unsigned long long>(a.checks));
+    std::fflush(stdout);
+  }
+  return 0;
 }
 
 int run_report_mode(const ReportOptions& options) {
@@ -899,6 +1018,8 @@ int main(int argc, char** argv) {
       options.report = true;
     } else if (arg == "--smoke") {
       options.smoke = true;
+    } else if (arg == "--audit-overhead") {
+      options.audit_overhead = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
       options.jobs = static_cast<std::size_t>(std::strtoull(argv[++i],
                                                             nullptr, 10));
@@ -906,16 +1027,17 @@ int main(int argc, char** argv) {
       options.out = argv[++i];
     } else if (arg == "--baseline" && i + 1 < argc) {
       options.baseline = argv[++i];
-    } else if (options.report || options.smoke) {
+    } else if (options.report || options.smoke || options.audit_overhead) {
       std::fprintf(stderr, "unknown report option: %s\n", arg.c_str());
       return 1;
     }
   }
-  if (options.smoke || options.report) {
+  if (options.smoke || options.report || options.audit_overhead) {
     if (options.jobs == 0) {
       std::fprintf(stderr, "--jobs must be a positive integer\n");
       return 1;
     }
+    if (options.audit_overhead) return run_audit_overhead(options);
     return options.smoke ? run_smoke(options) : run_report_mode(options);
   }
 

@@ -65,15 +65,17 @@ struct AuditOptions {
   /// When false, violations accumulate and the run continues -- the mode
   /// the auditor's own mutation tests use.
   bool fatal = true;
-  /// Run the (relatively costly) profile-consistency cross-check every
-  /// Nth event cycle; 1 = every cycle. The per-event checks always run.
-  int profile_check_stride = 1;
 };
 
 /// Observes one simulation run of one scheduler. The driver owns the
 /// call discipline: on_submitted/on_cancelled/on_finished per event,
 /// on_started per job the scheduler launched, then on_cycle_end after
 /// each same-time batch has been fully scheduled.
+///
+/// Cost: each event is O(1) expected, plus O(running) to keep the
+/// running-job index sorted under the profile hook; each on_cycle_end is
+/// O(running + reserved log reserved + profile breakpoints) -- bounded by
+/// live state, never by how many jobs the run has seen.
 class ScheduleAuditor {
  public:
   explicit ScheduleAuditor(const Scheduler& scheduler,
@@ -96,9 +98,10 @@ class ScheduleAuditor {
   void on_requeued(const Job& job, Time now);
   /// Capacity leaves service until the matching on_node_up. Verifies the
   /// kills already freed the outage's demand, then audits all later
-  /// capacity against the degraded machine. Also resets every monotone
-  /// guarantee baseline: an outage legally delays guarantees (force
-  /// majeure), so pre-outage reservations stop binding.
+  /// capacity against the degraded machine. Also voids every monotone
+  /// guarantee baseline (in O(1), by starting a new outage epoch): an
+  /// outage legally delays guarantees (force majeure), so pre-outage
+  /// reservations stop binding.
   void on_node_down(const sim::Outage& outage, Time now);
   void on_node_up(const sim::Outage& outage, Time now);
 
@@ -118,16 +121,60 @@ class ScheduleAuditor {
     int procs = 0;
     int bb = 0;
     Time start = sim::kNoTime;       ///< kNoTime while queued
+    /// Monotone guarantee baselines; void once an outage registers after
+    /// `outage_epoch` (expire_baselines before reading them).
     Time first_reservation = sim::kNoTime;
     Time last_reservation = sim::kNoTime;
+    std::uint64_t outage_epoch = 0;
     bool running = false;
     bool finished = false;
     bool cancelled = false;
   };
 
+  /// A running job's rectangle [now, end) in the expected timeline.
+  struct RunningJob {
+    Time end;  ///< start + estimate, saturating
+    JobId id;
+    int procs;
+    int bb;
+    /// Sweep order: by end, ties by id.
+    friend bool operator<(const RunningJob& a, const RunningJob& b) {
+      return a.end != b.end ? a.end < b.end : a.id < b.id;
+    }
+  };
+
+  /// One demand change of the expected timeline: +demand where a
+  /// rectangle begins, -demand where it ends.
+  struct Delta {
+    Time at;
+    int procs;
+    int bb;
+  };
+
   void record(AuditViolation violation);
-  void check_reservations(Time now);
-  void check_profile(Time now);
+  /// Void the record's baselines if an outage registered since they were
+  /// set (force majeure, see on_node_down). Call before reading them.
+  void expire_baselines(JobRecord& rec);
+  void add_running(JobId id, const JobRecord& rec);
+  void drop_running(JobId id, const JobRecord& rec);
+  void check_reservations(Time now,
+                          const std::vector<AuditReservation>& reported);
+  void check_profile(Time now, const std::vector<AuditReservation>& reported);
+  /// Sweep running + reserved + outage rectangles into expected_, in
+  /// MultiProfile's canonical coalesced form. False exactly when
+  /// MultiProfile::reserve would throw on those rectangles.
+  bool build_expected(Time now, const std::vector<AuditReservation>& reported);
+  /// The profile cross-check the slow way: one MultiProfile::reserve per
+  /// rectangle -- running jobs by id, then reservations as reported, then
+  /// outages -- so an overflow names the rectangle that trips first.
+  void check_profile_by_reserve(Time now,
+                                const std::vector<AuditReservation>& reported,
+                                const MultiProfile& actual);
+  /// The ordered scan: `now`, then every expected breakpoint >= now, then
+  /// every actual one; records the first divergence found.
+  void scan_for_divergence(
+      Time now, const std::vector<MultiProfile::Segment>& expected,
+      const MultiProfile& actual);
 
   const Scheduler* scheduler_;
   AuditOptions options_;
@@ -139,11 +186,17 @@ class ScheduleAuditor {
   int down_ = 0;  ///< processors lost to active outages (auditor's count)
   int down_bb_ = 0;  ///< burst-buffer GB lost to active outages
   std::vector<sim::Outage> active_outages_;  ///< few at a time; linear scan
+  std::uint64_t outage_epoch_ = 0;  ///< node-down events so far
   std::unordered_map<JobId, JobRecord> jobs_;
+  /// Jobs whose record is running, sorted by (end, id): the running
+  /// rectangles' end breakpoints arrive already in sweep order. Kept only
+  /// under the profile hook, its sole reader.
+  std::vector<RunningJob> running_;
+  std::vector<Delta> deltas_;                      ///< per-cycle scratch
+  std::vector<MultiProfile::Segment> expected_;   ///< per-cycle scratch
   /// EASY: the head job currently holding the single pinned reservation.
   JobId pinned_head_ = workload::kInvalidJob;
   Time pinned_start_ = sim::kNoTime;
-  std::uint64_t cycles_ = 0;
   std::uint64_t checks_ = 0;
   std::vector<AuditViolation> violations_;
 };

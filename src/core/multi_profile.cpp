@@ -282,10 +282,6 @@ void MultiProfile::discard_before(sim::Time t) {
     if (h.not_before < t) h.not_before = t;
 }
 
-std::vector<MultiProfile::Segment> MultiProfile::segments() const {
-  return points_;  // stored coalesced: the representation is the answer
-}
-
 void MultiProfile::check_invariants() const {
   if (points_.empty() || points_.front().begin != 0)
     throw std::logic_error("MultiProfile: missing origin breakpoint");

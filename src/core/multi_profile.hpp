@@ -102,7 +102,10 @@ class MultiProfile {
   void discard_before(sim::Time t);
 
   /// The full piecewise timeline, coalesced, for inspection and tests.
-  [[nodiscard]] std::vector<Segment> segments() const;
+  /// Valid until the next mutation.
+  [[nodiscard]] const std::vector<Segment>& segments() const {
+    return points_;  // stored coalesced: the representation is the answer
+  }
 
   /// Number of internal breakpoints; storage is always coalesced.
   [[nodiscard]] std::size_t breakpoints() const { return points_.size(); }

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "core/conservative_scheduler.hpp"
 #include "core/profile.hpp"
 #include "core/simulation.hpp"
+#include "sim/failure.hpp"
 #include "test_support.hpp"
 
 namespace bfsim::core {
@@ -185,6 +187,64 @@ class StaleBufferProfileScheduler final : public ShimScheduler {
   MultiProfile profile_;
 };
 
+/// Mutations 5-7 -- a profile-keeping shim whose profile books every
+/// started job exactly (the traces use exact estimates, so finishes land
+/// on the booked end) while its other bookkeeping is deliberately out of
+/// step with it: each of `promises` is reported as a reservation (and
+/// honored: the job waits until its promised start) but never booked,
+/// and each of `leaked` is booked although no job accounts for it.
+class MisbookedProfileScheduler final : public ShimScheduler {
+ public:
+  MisbookedProfileScheduler(SchedulerConfig config,
+                            std::vector<AuditReservation> promises,
+                            std::vector<AuditReservation> leaked = {})
+      : ShimScheduler(config),
+        profile_(config.procs, config.burst_buffer),
+        promises_(std::move(promises)) {
+    for (const AuditReservation& res : leaked)
+      profile_.reserve(res.start, res.start + res.estimate, res.procs,
+                       res.bb);
+  }
+  using Scheduler::select_starts;
+  void select_starts(Time now, std::vector<Job>& out) override {
+    for (std::size_t i = 0; i < queue_.size();) {
+      const Job& job = queue_[i];
+      const AuditReservation* promise = promise_of(job.id);
+      if (job.procs > config_.procs - used() ||
+          (promise != nullptr && promise->start > now)) {
+        ++i;
+        continue;
+      }
+      profile_.reserve(now, now + job.estimate, job.procs, job.bb);
+      out.push_back(start_at(i));
+    }
+  }
+  [[nodiscard]] AuditHooks audit_hooks() const override {
+    return {.profile = true, .reservations = true};
+  }
+  [[nodiscard]] const MultiProfile* audit_profile() const override {
+    return &profile_;
+  }
+  [[nodiscard]] std::vector<AuditReservation> audit_reservations()
+      const override {
+    std::vector<AuditReservation> out;
+    for (const Job& job : queue_)
+      if (const AuditReservation* promise = promise_of(job.id))
+        out.push_back(*promise);
+    return out;
+  }
+
+ private:
+  [[nodiscard]] const AuditReservation* promise_of(JobId id) const {
+    for (const AuditReservation& res : promises_)
+      if (res.id == id) return &res;
+    return nullptr;
+  }
+
+  MultiProfile profile_;
+  std::vector<AuditReservation> promises_;
+};
+
 /// Run `scheduler` over `trace` under a collecting (non-fatal) auditor
 /// and return the recorded violations.
 std::vector<AuditViolation> audit_run(const Trace& trace,
@@ -283,6 +343,107 @@ TEST(AuditMutation, DetectsStaleBufferBreakpoint) {
   EXPECT_NE(v.detail.find("burst-buffer"), std::string::npos);
 }
 
+TEST(AuditMutation, DetectsRunningPlusReservedOverflow) {
+  // Job 0 holds 3 of 4 processors over [0, 10). Jobs 1 and 2 (2 wide
+  // each) are promised starts at 8 and 5 -- neither fits beside job 0.
+  // The expected timeline is rebuilt running first, then reservations
+  // in reported order, so job 1's rectangle trips first, at t=8, even
+  // though the implied occupancy already overflows from t=5.
+  const Trace trace = make_trace({{.submit = 0, .runtime = 10, .procs = 3},
+                                  {.submit = 0, .runtime = 10, .procs = 2},
+                                  {.submit = 0, .runtime = 10, .procs = 2}});
+  MisbookedProfileScheduler scheduler{
+      SchedulerConfig{4},
+      {{.id = 1, .start = 8, .estimate = 10, .procs = 2},
+       {.id = 2, .start = 5, .estimate = 10, .procs = 2}}};
+  const auto violations = audit_run(trace, scheduler);
+  ASSERT_EQ(violations.size(), 1u);
+  const AuditViolation& v = violations.front();
+  EXPECT_EQ(v.invariant, "profile-divergence");
+  EXPECT_EQ(v.when, 0);
+  EXPECT_EQ(v.expected, 0);
+  EXPECT_EQ(v.actual, 0);
+  EXPECT_EQ(v.detail,
+            "running + reserved jobs overflow the machine: MultiProfile: "
+            "over-reservation on the procs axis at t=8");
+}
+
+TEST(AuditMutation, DetectsRunningPlusReservedBufferOverflow) {
+  // Processors suffice (1 + 1 of 4); the 10 buffer GB do not cover job
+  // 0's 8 plus the 4 promised to job 1 from t=5.
+  const Trace trace =
+      make_trace({{.submit = 0, .runtime = 10, .procs = 1, .bb = 8},
+                  {.submit = 0, .runtime = 10, .procs = 1, .bb = 4}});
+  MisbookedProfileScheduler scheduler{
+      SchedulerConfig{4, PriorityPolicy::Fcfs, /*burst_buffer=*/10},
+      {{.id = 1, .start = 5, .estimate = 10, .procs = 1, .bb = 4}}};
+  const auto violations = audit_run(trace, scheduler);
+  ASSERT_EQ(violations.size(), 1u);
+  const AuditViolation& v = violations.front();
+  EXPECT_EQ(v.invariant, "profile-divergence");
+  EXPECT_EQ(v.when, 0);
+  EXPECT_EQ(v.detail,
+            "running + reserved jobs overflow the machine: MultiProfile: "
+            "over-reservation on the burst-buffer axis at t=5");
+}
+
+TEST(AuditMutation, DetectsNegativeReservedDemand) {
+  // A corrupted reservation claims -1 processors: a rectangle that
+  // would add capacity. It is rejected as such, not summed away.
+  const Trace trace = make_trace({{.submit = 0, .runtime = 10, .procs = 3},
+                                  {.submit = 0, .runtime = 10, .procs = 2}});
+  MisbookedProfileScheduler scheduler{
+      SchedulerConfig{4}, {{.id = 1, .start = 10, .estimate = 10, .procs = -1}}};
+  const auto violations = audit_run(trace, scheduler);
+  ASSERT_EQ(violations.size(), 1u);
+  const AuditViolation& v = violations.front();
+  EXPECT_EQ(v.invariant, "profile-divergence");
+  EXPECT_EQ(v.when, 0);
+  EXPECT_EQ(v.detail,
+            "running + reserved jobs overflow the machine: "
+            "MultiProfile::reserve: negative demand");
+}
+
+TEST(AuditMutation, DetectsDivergenceAtABreakpointOnlyTheProfileHas) {
+  // The profile carries a leaked booking over [104, 106) that no job
+  // accounts for. Both timelines agree at now=100 and at every
+  // breakpoint of the expected one; only the profile's own breakpoint
+  // at 104 exposes the leak.
+  const Trace trace =
+      make_trace({{.submit = 100, .runtime = 10, .procs = 2}});
+  MisbookedProfileScheduler scheduler{
+      SchedulerConfig{4},
+      {},
+      {{.id = 9, .start = 104, .estimate = 2, .procs = 1}}};
+  const auto violations = audit_run(trace, scheduler);
+  ASSERT_EQ(violations.size(), 1u);
+  const AuditViolation& v = violations.front();
+  EXPECT_EQ(v.invariant, "profile-divergence");
+  EXPECT_EQ(v.when, 100);
+  EXPECT_EQ(v.expected, 2);  // job 0 alone leaves 2 free at 104...
+  EXPECT_EQ(v.actual, 1);    // ...but the leaked booking holds one more
+  EXPECT_NE(v.detail.find("free(104)"), std::string::npos) << v.detail;
+}
+
+TEST(AuditMutation, DetectsDivergenceAtABreakpointOnlyTheExpectedHas) {
+  // Job 1 is promised [105, 108) beside job 0's [100, 110), but the
+  // promise is never booked: the profile stays flat across 105, so only
+  // the expected timeline's breakpoint there exposes the gap.
+  const Trace trace = make_trace({{.submit = 100, .runtime = 10, .procs = 2},
+                                  {.submit = 100, .runtime = 3, .procs = 1}});
+  MisbookedProfileScheduler scheduler{
+      SchedulerConfig{4},
+      {{.id = 1, .start = 105, .estimate = 3, .procs = 1}}};
+  const auto violations = audit_run(trace, scheduler);
+  ASSERT_EQ(violations.size(), 1u);
+  const AuditViolation& v = violations.front();
+  EXPECT_EQ(v.invariant, "profile-divergence");
+  EXPECT_EQ(v.when, 100);
+  EXPECT_EQ(v.expected, 1);  // job 0 + job 1's promise leave 1 free...
+  EXPECT_EQ(v.actual, 2);    // ...the profile never booked the promise
+  EXPECT_NE(v.detail.find("free(105)"), std::string::npos) << v.detail;
+}
+
 TEST(AuditMutation, FatalModeThrowsAtTheViolatingEvent) {
   const Trace trace = make_trace({{.submit = 0, .runtime = 10, .procs = 3},
                                   {.submit = 0, .runtime = 10, .procs = 3}});
@@ -305,6 +466,58 @@ TEST(Audit, CleanConservativeRunHasNoViolations) {
   EXPECT_GT(auditor.checks(), trace.size());
 }
 
+/// One clean audited run whose checks() total is pinned: the count of
+/// individual invariant checks is part of the auditor's contract, so a
+/// cheaper auditor must still run exactly the same checks.
+struct GoldenAuditRun {
+  const char* name;
+  SchedulerKind kind;
+  bool contended;  ///< burst-buffer demands plus an outage trace
+  std::uint64_t checks;
+};
+
+TEST(Audit, CheckCountsMatchTheGoldenRuns) {
+  constexpr int kProcs = 32;
+  constexpr int kBurstBuffer = 64;
+  const GoldenAuditRun runs[] = {
+      {"conservative", SchedulerKind::Conservative, false, 461694},
+      {"slack", SchedulerKind::Slack, false, 382284},
+      {"plan", SchedulerKind::Plan, false, 411114},
+      {"easy", SchedulerKind::Easy, false, 3280},
+      {"conservative-bb-outages", SchedulerKind::Conservative, true, 513043},
+      {"easy-bb-outages", SchedulerKind::Easy, true, 3526},
+  };
+  for (const GoldenAuditRun& run : runs) {
+    SCOPED_TRACE(run.name);
+    // Overestimated runtimes: early completions drive compression and
+    // replanning, where reservations and the profile move the most.
+    Trace trace = test::random_trace(300, kProcs, 11, /*overestimate=*/true);
+    SchedulerConfig config{kProcs};
+    sim::FailureTrace failures;
+    if (run.contended) {
+      test::assign_random_bb(trace, 24, 12);
+      config.burst_buffer = kBurstBuffer;
+      failures = sim::generate_failures({.mean_uptime = 6.0 * sim::kHour,
+                                         .mean_repair = 1.0 * sim::kHour,
+                                         .max_procs_lost = 8,
+                                         .max_bb_lost = 16},
+                                        kProcs, kBurstBuffer, 13);
+    }
+    const auto scheduler = make_scheduler(run.kind, config);
+    ScheduleAuditor auditor{*scheduler, {.fatal = false}};
+    const SimulationResult result = run_simulation(
+        trace, *scheduler,
+        {.auditor = &auditor,
+         .failures = run.contended ? &failures : nullptr});
+    EXPECT_TRUE(auditor.ok()) << auditor.violations().front().to_string();
+    EXPECT_EQ(auditor.checks(), run.checks);
+    // The contended runs must reach the outage paths they exist for.
+    if (run.contended) {
+      EXPECT_GT(result.kills, 0u);
+    }
+  }
+}
+
 TEST(Audit, ViolationToStringCarriesStructure) {
   const AuditViolation v{.invariant = "capacity",
                          .when = 42,
@@ -319,13 +532,6 @@ TEST(Audit, ViolationToStringCarriesStructure) {
   EXPECT_NE(text.find("expected=4"), std::string::npos);
   EXPECT_NE(text.find("actual=6"), std::string::npos);
   EXPECT_NE(text.find("oversubscribed"), std::string::npos);
-}
-
-TEST(Audit, RejectsNonPositiveProfileStride) {
-  ConservativeScheduler scheduler{SchedulerConfig{4}};
-  EXPECT_THROW(
-      (ScheduleAuditor{scheduler, {.profile_check_stride = 0}}),
-      std::invalid_argument);
 }
 
 }  // namespace
