@@ -17,9 +17,9 @@
 //     bench/perf_baseline.json; the auditor's overhead ratios are banded
 //     the same way;
 //   * --audit-overhead [--jobs N]: audited / bare replay time of the
-//     profile-keeping schedulers (conservative, slack, plan) over three
-//     N-job CTC traces, one JSON line each -- the auditor's scaling with
-//     trace size.
+//     profile-keeping schedulers (conservative, slack) and of plan, which
+//     gets the universal checks only, over three N-job CTC traces, one
+//     JSON line each -- the auditor's scaling with trace size.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -665,12 +665,13 @@ Report build_report(std::size_t jobs) {
   const auto trace = bench_trace(exp::TraceKind::Ctc, jobs);
   Report report;
   report.jobs = jobs;
-  // All six schedulers under FCFS priority; conservative/easy/nobackfill
+  // All seven schedulers under FCFS priority; conservative/easy/nobackfill
   // stay first so older baseline readers keep working.
   for (const core::SchedulerKind kind :
        {core::SchedulerKind::Conservative, core::SchedulerKind::Easy,
         core::SchedulerKind::Fcfs, core::SchedulerKind::KReservation,
-        core::SchedulerKind::Selective, core::SchedulerKind::Slack})
+        core::SchedulerKind::Selective, core::SchedulerKind::Slack,
+        core::SchedulerKind::Plan})
     report.sims.push_back(
         measure_sim(trace, kind, core::PriorityPolicy::Fcfs, procs));
   // EASY holds at most one reservation, so its throughput is almost
@@ -686,8 +687,7 @@ Report build_report(std::size_t jobs) {
   report.anchors = measure_anchors(trace, procs);
   report.breakpoints = measure_breakpoints(trace, procs);
   report.decision = measure_decision_latency(trace, procs);
-  // The two schedulers whose audits cross-check a profile every cycle
-  // and replay fast enough for the smoke (plan: --audit-overhead).
+  // The two schedulers whose audits cross-check a profile every cycle.
   for (const core::SchedulerKind kind :
        {core::SchedulerKind::Conservative, core::SchedulerKind::Slack})
     report.audits.push_back(measure_audit_overhead({trace}, kind, procs));

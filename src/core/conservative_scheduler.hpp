@@ -22,7 +22,9 @@
 
 namespace bfsim::core {
 
-class ConservativeScheduler final : public SchedulerBase {
+/// Not final: SlackScheduler keeps this reservation machinery and
+/// overrides only arrival (displacement) and the outage re-base.
+class ConservativeScheduler : public SchedulerBase {
  public:
   explicit ConservativeScheduler(SchedulerConfig config);
 
@@ -59,16 +61,18 @@ class ConservativeScheduler final : public SchedulerBase {
   [[nodiscard]] std::vector<AuditReservation> audit_reservations()
       const override;
 
- private:
+ protected:
   MultiProfile profile_;
   TimeByJob reservations_;  ///< queued job -> guaranteed start
+  /// Earliest guaranteed start, maintained alongside reservations_ so
+  /// neither the due check nor next_wakeup() scans the queue.
+  ReservationHeap due_;
+
+ private:
   /// Pass-time working buffers, reused so select_starts never allocates
   /// in steady state.
   std::vector<JobId> due_scratch_;
   std::vector<JobId> order_scratch_;
-  /// Earliest guaranteed start, maintained alongside reservations_ so
-  /// neither the due check nor next_wakeup() scans the queue.
-  ReservationHeap due_;
 
   /// Re-anchor queued jobs in priority order after capacity was freed
   /// at `hole_begin` (>= now), iterating until no reservation moves.

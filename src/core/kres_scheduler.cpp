@@ -65,7 +65,10 @@ void KReservationScheduler::select_starts(Time now, std::vector<Job>& out) {
 }
 
 std::string KReservationScheduler::name() const {
-  return "kres" + std::to_string(depth_) + "-" + to_string(config_.priority);
+  const std::string family = depth_ == kUnboundedReservationDepth
+                                 ? "plan"
+                                 : "kres" + std::to_string(depth_);
+  return family + "-" + to_string(config_.priority);
 }
 
 }  // namespace bfsim::core

@@ -5,17 +5,27 @@
 // may backfill as long as it does not disturb those K guarantees.
 //   K = 0  -> pure no-guarantee backfilling (greedy first-fit by priority)
 //   K = 1  -> EASY / aggressive backfilling
-//   K large-> conservative-like (every queued job protected)
-// Unlike true conservative backfilling the reservation set is recomputed
-// from the current priority order at every scheduling event, so under
-// time-varying priorities (XFactor) a guarantee holder can change; the
-// ablation bench uses this to show how worst-case turnaround shrinks and
-// mean slowdown grows as K increases (the paper's Section 6 discussion).
+//   K = oo -> plan (kUnboundedReservationDepth): the list-scheduling
+//             replan of Kopanski & Rzadca (arXiv:2109.00082 /
+//             2111.10200), every queued job re-anchored in priority order
+// Unlike conservative backfilling, which pins each guarantee at arrival
+// and only ever moves it earlier, the reservation set is recomputed from
+// the current priority order at every scheduling pass (repairs
+// included), so under time-varying priorities (XFactor) a guarantee
+// holder can change and a reservation can move later; the ablation bench
+// uses this to show how worst-case turnaround shrinks and mean slowdown
+// grows as K increases (the paper's Section 6 discussion).
 #pragma once
+
+#include <limits>
 
 #include "core/scheduler.hpp"
 
 namespace bfsim::core {
+
+/// Reservation depth that protects every queued job: the plan scheduler.
+inline constexpr int kUnboundedReservationDepth =
+    std::numeric_limits<int>::max();
 
 class KReservationScheduler final : public SchedulerBase {
  public:

@@ -7,7 +7,6 @@
 #include "core/easy_scheduler.hpp"
 #include "core/fcfs_scheduler.hpp"
 #include "core/kres_scheduler.hpp"
-#include "core/plan_scheduler.hpp"
 #include "core/running_profile.hpp"
 #include "core/selective_scheduler.hpp"
 #include "core/slack_scheduler.hpp"
@@ -227,7 +226,8 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
     case SchedulerKind::Slack:
       return std::make_unique<SlackScheduler>(config, extras.slack_factor);
     case SchedulerKind::Plan:
-      return std::make_unique<PlanScheduler>(config);
+      return std::make_unique<KReservationScheduler>(
+          config, kUnboundedReservationDepth);
   }
   throw std::invalid_argument("make_scheduler: bad kind");
 }

@@ -250,8 +250,8 @@ class SchedulerBase : public Scheduler {
   /// profile_from_running plus one reserved rectangle
   /// [now, repair_at) x (procs, bb) per active outage: the availability
   /// timeline of the *healthy* part of the machine. Rebuild-per-pass
-  /// schedulers (kres, selective, plan) call this instead of
-  /// profile_from_running so their guarantees respect downtime.
+  /// schedulers (kres, plan included, and selective) call this instead
+  /// of profile_from_running so their guarantees respect downtime.
   [[nodiscard]] MultiProfile profile_from_running_and_outages(Time now) const;
 };
 
@@ -263,7 +263,7 @@ enum class SchedulerKind : int {
   KReservation = 3,  ///< Maui-style reservation depth K     [extension]
   Selective = 4,     ///< reservation once slowdown > threshold (paper §6)
   Slack = 5,         ///< slack-bounded displacement (Talby-Feitelson) [ext]
-  Plan = 6,          ///< plan-based: full replan per event (Kopanski-Rzadca)
+  Plan = 6,          ///< KReservation at unbounded depth (Kopanski-Rzadca)
 };
 
 [[nodiscard]] std::string to_string(SchedulerKind kind);

@@ -5,23 +5,24 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/running_profile.hpp"
 #include "util/format.hpp"
 
 namespace bfsim::core {
 
 SlackScheduler::SlackScheduler(SchedulerConfig config, double slack_factor)
-    : SchedulerBase(config),
-      slack_factor_(slack_factor),
-      profile_(config.procs, config.burst_buffer) {
+    : ConservativeScheduler(config), slack_factor_(slack_factor) {
   if (!(slack_factor >= 0.0))
     throw std::invalid_argument("SlackScheduler: slack_factor must be >= 0");
 }
 
+Time SlackScheduler::slack_of(const Job& job) const {
+  return static_cast<Time>(
+      std::llround(slack_factor_ * static_cast<double>(job.estimate)));
+}
+
 // Like conservative, slack starts jobs only when a reservation comes
-// due, so every hook answers "is the earliest guarantee == now" from
-// the due-heap (a displacing arrival reserves `now` for itself, which
-// the same check reports).
+// due: a displacing arrival reserves `now` for itself, which the
+// due-heap check reports.
 
 bool SlackScheduler::job_submitted(const Job& job, Time now) {
   // The conservative guarantee anchors the deadline; the slack budget is
@@ -33,9 +34,7 @@ bool SlackScheduler::job_submitted(const Job& job, Time now) {
       queue_.empty() && fits_now(job)
           ? now
           : profile_.earliest_anchor(job.procs, job.bb, job.estimate, now);
-  const auto slack = static_cast<Time>(
-      std::llround(slack_factor_ * static_cast<double>(job.estimate)));
-  deadlines_.set(job.id, sim::saturating_add(anchor, slack));
+  deadlines_.set(job.id, sim::saturating_add(anchor, slack_of(job)));
 
   if (anchor > now && try_displace(job, now))
     return due_.earliest(reservations_) == now;
@@ -89,142 +88,17 @@ bool SlackScheduler::try_displace(const Job& job, Time now) {
   return true;
 }
 
-bool SlackScheduler::job_finished(JobId id, Time now) {
-  // Consumed history: see ConservativeScheduler::job_finished.
-  profile_.discard_before(now);
-  const RunningJob rj = commit_finish(id);
-  // On-time completions free nothing; compression would be a no-op. A
-  // reservation anchored exactly at this job's est_end can still be due.
-  if (now < rj.est_end) {
-    profile_.release(now, rj.est_end, rj.job.procs, rj.job.bb);
-    compress(now, now);
-  }
-  return due_.earliest(reservations_) == now;
-}
-
-bool SlackScheduler::job_cancelled(JobId id, Time now) {
-  const Job job = take_queued(id);
-  const Time start = reservations_.at(id);
-  profile_.release(start, sim::saturating_add(start, job.estimate), job.procs,
-                   job.bb);
-  reservations_.erase(id);
-  deadlines_.erase(id);
-  compress(now, start);
-  return due_.earliest(reservations_) == now;
-}
-
-bool SlackScheduler::job_killed(JobId id, Time now) {
-  // Early-completion bookkeeping without compression: the imminent
-  // node_down rebuilds the whole packing (see conservative).
-  profile_.discard_before(now);
-  const RunningJob rj = commit_finish(id);
-  if (now < rj.est_end)
-    profile_.release(now, rj.est_end, rj.job.procs, rj.job.bb);
-  return false;  // node_down decides whether a pass is needed
-}
-
 bool SlackScheduler::node_down(const sim::Outage& outage, Time now) {
-  profile_.discard_before(now);
-  for (const Job& job : queue_) {
-    const Time start = reservations_.at(job.id);
-    profile_.release(start, sim::saturating_add(start, job.estimate),
-                     job.procs, job.bb);
-  }
-  SchedulerBase::node_down(outage, now);
-  profile_.reserve(now, outage.repair_at, outage.procs, outage.bb);
-  ensure_sorted(now);
-  for (const Job& job : queue_) {
-    const Time anchor =
-        profile_.find_and_reserve(job.procs, job.bb, job.estimate, now);
-    reservations_.set(job.id, anchor);
-    due_.push(anchor, job.id);
-    // Re-base the deadline from the post-outage anchor: the pre-outage
-    // promise may be physically impossible on the degraded machine, so
-    // the outage resets each job's slack budget (force majeure -- the
-    // contract DESIGN.md section 15 documents). anchor <= deadline
-    // still holds by construction.
-    const auto slack = static_cast<Time>(
-        std::llround(slack_factor_ * static_cast<double>(job.estimate)));
-    deadlines_.set(job.id, sim::saturating_add(anchor, slack));
-  }
-  return due_.earliest(reservations_) == now;
-}
-
-bool SlackScheduler::node_up(const sim::Outage& outage, Time now) {
-  // The outage rectangle expires at repair_at == now on its own; a
-  // reservation anchored exactly at the repair instant is due now.
-  SchedulerBase::node_up(outage, now);
-  return due_.earliest(reservations_) == now;
-}
-
-Time SlackScheduler::next_wakeup() { return due_.earliest(reservations_); }
-
-void SlackScheduler::compress(Time now, Time hole_begin) {
-  // Identical to conservative compression: each re-anchor can only move
-  // a reservation earlier, so deadlines trivially keep holding. Jobs
-  // already reserved at-or-before the earliest unconsidered hole cannot
-  // move and are skipped; passes repeat until no reservation moves so
-  // cascaded unblocking (a moved job vacating its old slot) is never
-  // left stale. See ConservativeScheduler::compress for the argument.
-  if (queue_.empty()) return;
-  ensure_sorted(now);
-  for (;;) {
-    Time next_hole = sim::kNoTime;
-    for (const Job& job : queue_) {
-      const Time old_start = reservations_.at(job.id);
-      if (old_start <= hole_begin) continue;
-      profile_.release(old_start, sim::saturating_add(old_start, job.estimate),
-                       job.procs, job.bb);
-      const Time anchor =
-          profile_.find_and_reserve(job.procs, job.bb, job.estimate, now);
-      if (anchor > old_start)
-        throw std::logic_error(
-            "SlackScheduler: compression delayed a reservation (job " +
-            std::to_string(job.id) + ")");
-      if (anchor < old_start) {
-        reservations_.set(job.id, anchor);
-        due_.push(anchor, job.id);
-        next_hole = next_hole == sim::kNoTime
-                        ? old_start
-                        : std::min(next_hole, old_start);
-      }
-    }
-    if (next_hole == sim::kNoTime) return;
-    hole_begin = next_hole;
-  }
-}
-
-void SlackScheduler::select_starts(Time now, std::vector<Job>& out) {
-  const Time earliest = due_.earliest(reservations_);
-  if (earliest != sim::kNoTime && earliest < now)
-    throw std::logic_error("SlackScheduler: reservation in the past");
-  if (earliest != now) return;
-  due_scratch_.clear();
-  due_.take_due(now, reservations_, due_scratch_);
-  if (due_scratch_.size() > 1) {
-    // Simultaneous starts commit in priority order (see conservative).
-    ensure_sorted(now);
-    order_scratch_.clear();
-    for (const Job& job : queue_)
-      if (std::find(due_scratch_.begin(), due_scratch_.end(), job.id) !=
-          due_scratch_.end())
-        order_scratch_.push_back(job.id);
-    due_scratch_.swap(order_scratch_);
-  }
-  for (JobId id : due_scratch_) {
-    reservations_.erase(id);
-    deadlines_.erase(id);
-    out.push_back(commit_start(id, now));
-  }
-}
-
-std::vector<AuditReservation> SlackScheduler::audit_reservations() const {
-  std::vector<AuditReservation> out;
-  out.reserve(queue_.size());
+  const bool due_now = ConservativeScheduler::node_down(outage, now);
+  // Re-base each deadline from the post-outage anchor: the pre-outage
+  // promise may be physically impossible on the degraded machine, so
+  // the outage resets each job's slack budget (force majeure -- the
+  // contract DESIGN.md section 15 documents). anchor <= deadline still
+  // holds by construction.
   for (const Job& job : queue_)
-    out.push_back({job.id, reservations_.at(job.id), job.estimate, job.procs,
-                   job.bb});
-  return out;
+    deadlines_.set(job.id, sim::saturating_add(reservations_.at(job.id),
+                                               slack_of(job)));
+  return due_now;
 }
 
 std::string SlackScheduler::name() const {

@@ -8,10 +8,13 @@
 //
 //     deadline = conservative guarantee at arrival + slack_factor x estimate.
 //
-// slack_factor = 0 collapses to conservative backfilling (no displacement
-// tolerated); a large slack_factor approaches aggressive backfilling
-// (anybody may be pushed) while still bounding starvation -- the knob
-// trades the paper's mean-slowdown / worst-case-turnaround axes.
+// A large slack_factor approaches aggressive backfilling (anybody may be
+// pushed) while still bounding starvation -- the knob trades the paper's
+// mean-slowdown / worst-case-turnaround axes. slack_factor = 0 equals
+// conservative backfilling only under exact estimates: deadlines stay
+// fixed at arrival while compression after an early completion moves
+// reservations earlier, and the gap that opens between a reservation and
+// its deadline is slack a later arrival may displace the job into.
 //
 // Guarantee discipline (provable, asserted in tests):
 //  * on arrival, a job's deadline is fixed from its conservative anchor;
@@ -19,38 +22,33 @@
 //    order and commit only if every job keeps start <= deadline;
 //  * completions trigger conservative compression, which only moves
 //    reservations earlier. Hence no job ever starts after its deadline.
+//
+// Everything except arrival is conservative backfilling: the profile,
+// reservations, compression, due starts and the finish / cancel / kill /
+// repair hooks are ConservativeScheduler's. Slack overrides the arrival
+// (which may displace) and the outage, after which it re-bases every
+// queued job's deadline.
 #pragma once
 
-#include "core/multi_profile.hpp"
-#include "core/reservation_heap.hpp"
-#include "core/scheduler.hpp"
+#include <cstdint>
+
+#include "core/conservative_scheduler.hpp"
 
 namespace bfsim::core {
 
-class SlackScheduler final : public SchedulerBase {
+class SlackScheduler final : public ConservativeScheduler {
  public:
   /// `slack_factor` >= 0: each job tolerates being pushed back by at
   /// most slack_factor x its own estimate past its arrival guarantee.
   SlackScheduler(SchedulerConfig config, double slack_factor);
 
   bool job_submitted(const Job& job, Time now) override;
-  bool job_finished(JobId id, Time now) override;
-  bool job_cancelled(JobId id, Time now) override;
-  bool job_killed(JobId id, Time now) override;
   bool node_down(const sim::Outage& outage, Time now) override;
-  bool node_up(const sim::Outage& outage, Time now) override;
-  [[nodiscard]] Time next_wakeup() override;
-  using Scheduler::select_starts;
-  void select_starts(Time now, std::vector<Job>& out) override;
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] double slack_factor() const { return slack_factor_; }
 
-  /// Current guaranteed start of a queued job (<= its deadline).
-  [[nodiscard]] Time reservation_of(JobId id) const {
-    return reservations_.at(id);
-  }
-  /// Latest start this job can ever be pushed to.
+  /// Latest start a queued job can ever be pushed to.
   [[nodiscard]] Time deadline_of(JobId id) const {
     return deadlines_.at(id);
   }
@@ -59,37 +57,22 @@ class SlackScheduler final : public SchedulerBase {
     return displacements_;
   }
 
-  // Auditor introspection: every queued job holds a reservation and the
-  // profile is persistent, but displacement may legally move a
-  // reservation *later* (bounded by its deadline), so guarantees are
-  // not monotone here.
+  // Auditor introspection: as conservative, except that displacement may
+  // legally move a reservation *later* (bounded by its deadline), so
+  // guarantees are not monotone here.
   [[nodiscard]] AuditHooks audit_hooks() const override {
     return {.profile = true, .reservations = true};
   }
-  [[nodiscard]] const MultiProfile* audit_profile() const override {
-    return &profile_;
-  }
-  [[nodiscard]] std::vector<AuditReservation> audit_reservations()
-      const override;
 
  private:
   double slack_factor_;
-  MultiProfile profile_;
-  TimeByJob reservations_;
+  /// Per-job deadline. Read only while the job is queued, so the entries
+  /// of started and cancelled jobs are simply left behind.
   TimeByJob deadlines_;
-  /// Pass-time working buffers, reused so select_starts never allocates
-  /// in steady state.
-  std::vector<JobId> due_scratch_;
-  std::vector<JobId> order_scratch_;
-  /// Earliest guaranteed start (lazy-deletion; rebuilt wholesale when a
-  /// displacement reassigns every reservation).
-  ReservationHeap due_;
   std::uint64_t displacements_ = 0;
 
-  /// Conservative compression after capacity was freed at `hole_begin`
-  /// (priority order; starts only move earlier; jobs reserved at-or-
-  /// before the hole are provably immovable and skipped).
-  void compress(Time now, Time hole_begin);
+  /// The job's displacement budget: slack_factor x estimate, rounded.
+  [[nodiscard]] Time slack_of(const Job& job) const;
 
   /// Try to start `job` at `now` by re-anchoring every queued job in
   /// EDF order behind it. Commits and returns true when every deadline

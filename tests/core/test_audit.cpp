@@ -482,7 +482,9 @@ TEST(Audit, CheckCountsMatchTheGoldenRuns) {
   const GoldenAuditRun runs[] = {
       {"conservative", SchedulerKind::Conservative, false, 461694},
       {"slack", SchedulerKind::Slack, false, 382284},
-      {"plan", SchedulerKind::Plan, false, 411114},
+      // Plan is kres at unbounded depth: no persistent profile or
+      // reservations to cross-check, only the universal checks.
+      {"plan", SchedulerKind::Plan, false, 2700},
       {"easy", SchedulerKind::Easy, false, 3280},
       {"conservative-bb-outages", SchedulerKind::Conservative, true, 513043},
       {"easy-bb-outages", SchedulerKind::Easy, true, 3526},

@@ -37,8 +37,12 @@ TEST(SlackScheduler, RejectsNegativeSlack) {
 }
 
 TEST(SlackScheduler, ZeroSlackMatchesConservativeOnExactEstimates) {
-  // With no slack nobody may be displaced; only compaction-free
-  // backfills are possible, which conservative performs too.
+  // Exact estimates mean no early completion, so compression never
+  // moves a reservation earlier than the arrival anchor its deadline
+  // was fixed from: with no slack nobody can be displaced, and slack
+  // places every job where conservative does. Under overestimates the
+  // two part ways -- compression opens a gap between reservation and
+  // deadline, which a later arrival may displace the job into.
   for (const std::uint64_t seed : {31u, 32u, 33u}) {
     const Trace trace = test::random_trace(400, 12, seed, false);
     const SchedulerConfig config{12, PriorityPolicy::Fcfs};
