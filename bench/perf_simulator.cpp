@@ -674,6 +674,11 @@ Report build_report(std::size_t jobs) {
         core::SchedulerKind::Plan})
     report.sims.push_back(
         measure_sim(trace, kind, core::PriorityPolicy::Fcfs, procs));
+  // Then nobackfill under XFactor: the only row whose priority drifts
+  // with the clock, so the only one exercising the per-pass repair of
+  // the queue order, over the deepest backlog of any scheduler.
+  report.sims.push_back(measure_sim(trace, core::SchedulerKind::Fcfs,
+                                    core::PriorityPolicy::XFactor, procs));
   // EASY holds at most one reservation, so its throughput is almost
   // independent of the profile hot path that conservative hammers; the
   // ratio isolates the reservation/compression cost while normalizing

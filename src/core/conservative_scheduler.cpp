@@ -145,11 +145,20 @@ void ConservativeScheduler::compress(Time now, Time hole_begin) {
   // job's own feasible window, a contradiction. So jobs with
   // reservation <= hole_begin are skipped, and a pass that moves
   // nobody certifies the fixpoint.
+  //
+  // The rest are probed read-only first (MultiProfile::earlier_anchor):
+  // a job whose own rectangle is already its earliest anchor would be
+  // released and re-reserved at the same start, and the coalesced
+  // profile is canonical, so skipping it leaves the profile exactly as
+  // the release + re-reserve would. Only movers touch the profile.
   for (;;) {
     Time next_hole = sim::kNoTime;
     for (const Job& job : queue_) {
       const Time old_start = reservations_.at(job.id);
       if (old_start <= hole_begin) continue;  // cannot move earlier
+      const Time probe = profile_.earlier_anchor(job.procs, job.bb,
+                                                 job.estimate, now, old_start);
+      if (probe == sim::kNoTime) continue;  // already at its earliest anchor
       profile_.release(old_start, sim::saturating_add(old_start, job.estimate),
                        job.procs, job.bb);
       const Time anchor =
@@ -158,15 +167,17 @@ void ConservativeScheduler::compress(Time now, Time hole_begin) {
         throw std::logic_error(
             "ConservativeScheduler: compression delayed a guarantee (job " +
             std::to_string(job.id) + ")");
-      if (anchor < old_start) {
-        reservations_.set(job.id, anchor);
-        due_.push(anchor, job.id);
-        // The vacated slot adds capacity at-or-after old_start: only
-        // jobs reserved beyond it can cascade in the next pass.
-        next_hole = next_hole == sim::kNoTime
-                        ? old_start
-                        : std::min(next_hole, old_start);
-      }
+      if (anchor != probe)
+        throw std::logic_error(
+            "ConservativeScheduler: compression probe disagrees with the "
+            "re-anchor (job " +
+            std::to_string(job.id) + ")");
+      reservations_.set(job.id, anchor);
+      due_.push(anchor, job.id);
+      // The vacated slot adds capacity at-or-after old_start: only
+      // jobs reserved beyond it can cascade in the next pass.
+      next_hole = next_hole == sim::kNoTime ? old_start
+                                            : std::min(next_hole, old_start);
     }
     if (next_hole == sim::kNoTime) return;  // nobody moved: fixpoint
     hole_begin = next_hole;

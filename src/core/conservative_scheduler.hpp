@@ -76,13 +76,13 @@ class ConservativeScheduler : public SchedulerBase {
 
   /// Re-anchor queued jobs in priority order after capacity was freed
   /// at `hole_begin` (>= now), iterating until no reservation moves.
-  /// Each candidate's reservation is released and re-placed at its
-  /// earliest anchor; the new start is provably <= the old one. Jobs
-  /// whose reservation already starts at-or-before the earliest
+  /// Jobs whose reservation already starts at-or-before the earliest
   /// still-unconsidered hole are skipped -- they provably cannot move
-  /// (see the implementation comment). On return every reservation is
-  /// at its true earliest anchor, which is what makes skipping the
-  /// whole pass on on-time completions sound.
+  /// (see the implementation comment). Every other candidate is probed
+  /// read-only (MultiProfile::earlier_anchor); only one the probe finds
+  /// an earlier anchor for is released and re-placed there. On return
+  /// every reservation is at its true earliest anchor, which is what
+  /// makes skipping the whole pass on on-time completions sound.
   void compress(Time now, Time hole_begin);
 };
 

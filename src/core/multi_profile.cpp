@@ -19,6 +19,22 @@ std::size_t hint_bucket(int procs) {
   return static_cast<std::size_t>(
       std::bit_width(static_cast<unsigned>(procs) - 1u));
 }
+
+/// The std::invalid_argument MultiProfile::check_demand promises, kept
+/// out of line so the check itself stays small enough to inline into
+/// the anchor searches.
+[[noreturn]] void throw_bad_demand(const char* op, int procs, int total_procs,
+                                   int bb, int total_bb) {
+  const std::string where = std::string("MultiProfile::") + op;
+  if (procs < 1 || procs > total_procs)
+    throw std::invalid_argument(where + ": bad procs " +
+                                std::to_string(procs) + " of " +
+                                std::to_string(total_procs));
+  if (bb < 0 || bb > total_bb)
+    throw std::invalid_argument(where + ": bad bb " + std::to_string(bb) +
+                                " of " + std::to_string(total_bb));
+  throw std::invalid_argument(where + ": bad duration");
+}
 }  // namespace
 
 MultiProfile::MultiProfile(int total_procs, int total_bb)
@@ -102,26 +118,38 @@ void MultiProfile::clamp_hints(sim::Time b) {
     if (h.bound > b) h.bound = b;
 }
 
+template <bool kBounded>
 std::pair<sim::Time, std::size_t> MultiProfile::anchor_from(
-    int procs, int bb, sim::Time duration, sim::Time not_before) const {
+    int procs, int bb, sim::Time duration, sim::Time not_before,
+    [[maybe_unused]] sim::Time limit) const {
   // Resume from the certified prefix, then advance to the first instant
   // with capacity on both axes. The skipped prefix extends this width's
   // certificate only for bb == 0 searches: with a buffer demand the
   // advance loop also skips segments blocked purely on the buffer axis,
-  // which says nothing about their processors.
+  // which says nothing about their processors. A bounded search stops
+  // advancing at the first segment beginning at-or-after `limit`; every
+  // segment it skipped was still blocked, so its certificate holds too.
   const bool record = bb == 0;
   const sim::Time start = hinted_start(procs, not_before);
   std::size_t i = segment_index(start);
-  while (points_[i].procs < procs || points_[i].bb < bb) ++i;
+  while (points_[i].procs < procs || points_[i].bb < bb) {
+    ++i;
+    if constexpr (kBounded)
+      if (points_[i].begin >= limit) break;
+  }
   sim::Time candidate = std::max(start, points_[i].begin);
   if (record) record_hint(procs, not_before, candidate);
   for (;;) {
+    if constexpr (kBounded)
+      if (candidate >= limit) return {sim::kNoTime, i};
     // points_[i] is the segment containing `candidate`. Scan forward
     // checking that every segment overlapping the window [candidate,
     // candidate + duration) has enough free capacity on both axes. The
     // window end saturates at kFar, which only the tail segment (or a
-    // breakpoint at kFar itself) can cover -- "forever" semantics.
-    const sim::Time window_end = sim::saturating_add(candidate, duration);
+    // breakpoint at kFar itself) can cover -- "forever" semantics. A
+    // bounded window ends at `limit` at the latest.
+    sim::Time window_end = sim::saturating_add(candidate, duration);
+    if constexpr (kBounded) window_end = std::min(window_end, limit);
     std::size_t scan = i;
     bool ok = true;
     while (true) {
@@ -140,43 +168,44 @@ std::pair<sim::Time, std::size_t> MultiProfile::anchor_from(
     // this terminates.
     do {
       ++scan;
+      if constexpr (kBounded)
+        if (points_[scan].begin >= limit) break;
     } while (points_[scan].procs < procs || points_[scan].bb < bb);
     candidate = points_[scan].begin;
     i = scan;
   }
 }
 
+void MultiProfile::check_demand(const char* op, int procs, int bb,
+                                sim::Time duration) const {
+  if (procs >= 1 && procs <= total_procs_ && bb >= 0 && bb <= total_bb_ &&
+      duration >= 1)
+    return;
+  throw_bad_demand(op, procs, total_procs_, bb, total_bb_);
+}
+
 sim::Time MultiProfile::earliest_anchor(int procs, int bb, sim::Time duration,
                                         sim::Time not_before) const {
-  if (procs < 1 || procs > total_procs_)
-    throw std::invalid_argument("MultiProfile::earliest_anchor: bad procs " +
-                                std::to_string(procs) + " of " +
-                                std::to_string(total_procs_));
-  if (bb < 0 || bb > total_bb_)
-    throw std::invalid_argument("MultiProfile::earliest_anchor: bad bb " +
-                                std::to_string(bb) + " of " +
-                                std::to_string(total_bb_));
-  if (duration < 1)
-    throw std::invalid_argument("MultiProfile::earliest_anchor: bad duration");
+  check_demand("earliest_anchor", procs, bb, duration);
   if (not_before < 0) not_before = 0;
-  return anchor_from(procs, bb, duration, not_before).first;
+  return anchor_from<false>(procs, bb, duration, not_before, kFar).first;
+}
+
+sim::Time MultiProfile::earlier_anchor(int procs, int bb, sim::Time duration,
+                                       sim::Time not_before,
+                                       sim::Time held_start) const {
+  check_demand("earlier_anchor", procs, bb, duration);
+  if (not_before < 0) not_before = 0;
+  return anchor_from<true>(procs, bb, duration, not_before, held_start).first;
 }
 
 sim::Time MultiProfile::find_and_reserve(int procs, int bb,
                                          sim::Time duration,
                                          sim::Time not_before) {
-  if (procs < 1 || procs > total_procs_)
-    throw std::invalid_argument("MultiProfile::find_and_reserve: bad procs " +
-                                std::to_string(procs) + " of " +
-                                std::to_string(total_procs_));
-  if (bb < 0 || bb > total_bb_)
-    throw std::invalid_argument("MultiProfile::find_and_reserve: bad bb " +
-                                std::to_string(bb) + " of " +
-                                std::to_string(total_bb_));
-  if (duration < 1)
-    throw std::invalid_argument("MultiProfile::find_and_reserve: bad duration");
+  check_demand("find_and_reserve", procs, bb, duration);
   if (not_before < 0) not_before = 0;
-  const auto [anchor, index] = anchor_from(procs, bb, duration, not_before);
+  const auto [anchor, index] =
+      anchor_from<false>(procs, bb, duration, not_before, kFar);
   // The search proved both axes hold throughout the window, so the
   // reservation needs no capacity re-check and no second search. A
   // reserve only removes capacity, so every anchor-hint certificate

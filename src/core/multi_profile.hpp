@@ -82,6 +82,21 @@ class MultiProfile {
   sim::Time find_and_reserve(int procs, int bb, sim::Time duration,
                              sim::Time not_before);
 
+  /// Read-only compression probe for a rectangle of (procs, bb) x
+  /// duration currently reserved at `held_start`: the anchor
+  /// find_and_reserve(procs, bb, duration, not_before) would return
+  /// after releasing it, when that anchor is earlier than held_start;
+  /// sim::kNoTime when the rectangle cannot move earlier. Searches only
+  /// [not_before, held_start): an anchor a < held_start is feasible after
+  /// the release iff the capacity is free *now* throughout
+  /// [a, min(a + duration, held_start)), because on [held_start,
+  /// a + duration) the rectangle's own release covers its demand. Same
+  /// argument requirements as earliest_anchor.
+  [[nodiscard]] sim::Time earlier_anchor(int procs, int bb,
+                                         sim::Time duration,
+                                         sim::Time not_before,
+                                         sim::Time held_start) const;
+
   /// True when `procs` processors and `bb` buffer units are free
   /// throughout [begin, end). Requires begin >= 0 for non-empty windows.
   [[nodiscard]] bool fits(int procs, int bb, sim::Time begin,
@@ -144,10 +159,19 @@ class MultiProfile {
 
   /// Index of the segment containing t (t >= 0).
   [[nodiscard]] std::size_t segment_index(sim::Time t) const;
+  /// Throws std::invalid_argument unless 1 <= procs <= total_procs(),
+  /// 0 <= bb <= total_bb() and duration >= 1; `op` names the caller.
+  void check_demand(const char* op, int procs, int bb,
+                    sim::Time duration) const;
   /// Anchor search core: returns the anchor and the index of the segment
-  /// containing it. Arguments already validated.
+  /// containing it. Arguments already validated. The bounded form
+  /// (earlier_anchor) clips every window at `limit` and gives up with
+  /// sim::kNoTime once the candidate reaches it; the unbounded form
+  /// ignores `limit` at no cost.
+  template <bool kBounded>
   [[nodiscard]] std::pair<sim::Time, std::size_t> anchor_from(
-      int procs, int bb, sim::Time duration, sim::Time not_before) const;
+      int procs, int bb, sim::Time duration, sim::Time not_before,
+      sim::Time limit) const;
   /// Add (dprocs, dbb) over [begin, end) given the index of the segment
   /// containing `begin`; splits boundary segments and re-coalesces.
   /// Capacity must have been validated by the caller.

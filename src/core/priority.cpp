@@ -73,4 +73,35 @@ void sort_by_priority(Job* first, Job* last, PriorityPolicy policy, Time now) {
   std::stable_sort(first, last, PriorityOrder{policy, now});
 }
 
+void restore_xfactor_order(Job* first, Job* last, Time now,
+                           std::vector<double>& keys) {
+  // The order on (xfactor desc, submit, id) is total, so any correct
+  // sort yields stable_sort's permutation; comparing the same cached
+  // doubles PriorityOrder would compute keeps the two bit-identical.
+  // Between passes two jobs' expansion factors are lines in time that
+  // cross at most once, so a queue the last pass left sorted is nearly
+  // sorted: appended arrivals and the few pairs that crossed.
+  const auto n = static_cast<std::size_t>(last - first);
+  keys.resize(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = xfactor(first[i], now);
+  const auto precedes = [](double ka, const Job& a, double kb, const Job& b) {
+    if (ka != kb) return ka > kb;
+    if (a.submit != b.submit) return a.submit < b.submit;
+    return a.id < b.id;
+  };
+  for (std::size_t i = 1; i < n; ++i) {
+    if (!precedes(keys[i], first[i], keys[i - 1], first[i - 1])) continue;
+    const Job job = first[i];
+    const double key = keys[i];
+    std::size_t j = i;
+    do {
+      first[j] = first[j - 1];
+      keys[j] = keys[j - 1];
+      --j;
+    } while (j > 0 && precedes(key, job, keys[j - 1], first[j - 1]));
+    first[j] = job;
+    keys[j] = key;
+  }
+}
+
 }  // namespace bfsim::core

@@ -39,7 +39,8 @@ inline constexpr PriorityPolicy kPaperPolicies[] = {
 /// Strict-weak-order comparator: a() before b() means a has priority.
 /// All policies tie-break by (submit, id) so the order is total and the
 /// resulting schedules are deterministic. XFactor is time-dependent:
-/// construct with the current clock and re-sort at every scheduling event.
+/// construct with the current clock; a queue kept in XFactor order is
+/// brought up to date at each pass by restore_xfactor_order.
 class PriorityOrder {
  public:
   PriorityOrder(PriorityPolicy policy, Time now)
@@ -58,5 +59,14 @@ void sort_by_priority(std::vector<Job>& queue, PriorityPolicy policy,
 
 /// Range form for containers exposing contiguous Job storage.
 void sort_by_priority(Job* first, Job* last, PriorityPolicy policy, Time now);
+
+/// Put [first, last) into XFactor priority order at `now`: the same
+/// permutation as sort_by_priority(first, last, XFactor, now), found by
+/// an insertion pass over keys computed once per job into `keys`
+/// (caller-owned scratch, overwritten). Costs O(n) divisions plus one
+/// shift per out-of-order pair, so a queue left in order by the
+/// previous pass costs O(n + pairs whose order changed since).
+void restore_xfactor_order(Job* first, Job* last, Time now,
+                           std::vector<double>& keys);
 
 }  // namespace bfsim::core

@@ -127,7 +127,7 @@ Job SchedulerBase::take_queued(JobId id) {
 void SchedulerBase::insert_queued(const Job& job, Time now) {
   if (time_varying_priority()) {
     queue_.push_back(job);
-    id_sorted_ = false;  // re-sorted per pass; position tells us nothing
+    id_sorted_ = false;  // reordered per pass; position tells us nothing
     return;
   }
   // The priority order is total (ties broken by submit, id), so the
@@ -157,8 +157,10 @@ void SchedulerBase::insert_queued(const Job& job, Time now) {
 }
 
 void SchedulerBase::ensure_sorted(Time now) {
+  // Starts and cancels erase in place and arrivals append, so the queue
+  // is still in the order the previous pass established.
   if (time_varying_priority())
-    sort_by_priority(queue_.begin(), queue_.end(), config_.priority, now);
+    restore_xfactor_order(queue_.begin(), queue_.end(), now, xfactor_keys_);
 }
 
 std::size_t SchedulerBase::queue_index(JobId id) const {

@@ -194,7 +194,8 @@ class SchedulerBase : public Scheduler {
   /// Waiting jobs. Invariant: under every static priority policy the
   /// queue is permanently in priority order (insert_queued places new
   /// arrivals in-place); only the time-varying XFactor order appends and
-  /// defers to ensure_sorted at pass time.
+  /// defers to ensure_sorted at pass time, which repairs the order the
+  /// previous pass left.
   JobQueue queue_;
   RunningTable running_;                          ///< started jobs
   int free_ = 0;                                  ///< processors free now
@@ -207,6 +208,8 @@ class SchedulerBase : public Scheduler {
   /// yet), sorted by (repair_at, id). Small: bounded by the number of
   /// concurrently-down outages, not the trace length.
   std::vector<sim::Outage> outages_;
+  /// ensure_sorted's per-pass XFactor keys, reused across passes.
+  std::vector<double> xfactor_keys_;
 
   /// True when the configured priority order can change with the clock
   /// (XFactor), so the queue cannot be kept sorted incrementally.
@@ -220,8 +223,9 @@ class SchedulerBase : public Scheduler {
   void insert_queued(const Job& job, Time now);
 
   /// Establish priority order at time `now`: a no-op for static
-  /// policies (insert_queued maintains it), a stable re-sort for
-  /// XFactor. Call before walking queue_ in priority order.
+  /// policies (insert_queued maintains it), an insertion repair of the
+  /// previous pass's order for XFactor (restore_xfactor_order). Call
+  /// before walking queue_ in priority order.
   void ensure_sorted(Time now);
 
   /// True when `job` fits into the momentarily free capacity on every

@@ -48,6 +48,16 @@ std::vector<double> decode_values(const std::string& text) {
   return values;
 }
 
+/// Flush `file`'s kernel buffers to stable storage; false on failure.
+/// Platforms without fsync report success.
+bool sync_file([[maybe_unused]] std::FILE* file) {
+#ifdef BFSIM_HAVE_FSYNC
+  return fsync(fileno(file)) == 0;
+#else
+  return true;
+#endif
+}
+
 /// Body of a record line (everything before the trailing hash field).
 std::string record_body(std::size_t index, const CellResult& result) {
   return "C\t" + std::to_string(index) + '\t' + util::escape_field(result.tag) + '\t' +
@@ -120,9 +130,11 @@ JournalWriter::JournalWriter(const std::string& path) : impl_(new Impl) {
     std::fputs(kHeader, impl_->file);
     std::fputc('\n', impl_->file);
     std::fflush(impl_->file);
-#ifdef BFSIM_HAVE_FSYNC
-    fsync(fileno(impl_->file));
-#endif
+    if (!sync_file(impl_->file)) {
+      std::fclose(impl_->file);
+      delete impl_;
+      throw std::runtime_error("journal: fsync failed for '" + path + "'");
+    }
   }
 }
 
@@ -139,9 +151,11 @@ void JournalWriter::record(std::size_t index, const CellResult& result) {
   if (std::fflush(impl_->file) != 0)
     throw std::runtime_error("journal: flush failed for '" + impl_->path +
                              "'");
-#ifdef BFSIM_HAVE_FSYNC
-  fsync(fileno(impl_->file));
-#endif
+  // A cell counts as checkpointed only once its record is durable: a
+  // failed sync fails the record exactly like a short write.
+  if (!sync_file(impl_->file))
+    throw std::runtime_error("journal: fsync failed for '" + impl_->path +
+                             "'");
 }
 
 }  // namespace bfsim::exp

@@ -69,7 +69,14 @@ EventLogWriter::EventLogWriter(const std::string& path) : path_(path) {
     throw std::runtime_error("eventlog: cannot open '" + path +
                              "' for append");
   // "ab" positions at end-of-file; offset 0 means new or empty file.
-  if (std::ftell(file_) == 0) append_line(kHeader);
+  if (std::ftell(file_) == 0) {
+    try {
+      append_line(kHeader);
+    } catch (...) {
+      std::fclose(file_);  // the destructor does not run for a throwing ctor
+      throw;
+    }
+  }
 }
 
 EventLogWriter::~EventLogWriter() {
@@ -83,7 +90,10 @@ void EventLogWriter::append_line(const std::string& body) {
   if (std::fflush(file_) != 0)
     throw std::runtime_error("eventlog: flush failed for '" + path_ + "'");
 #ifdef BFSIM_HAVE_FSYNC
-  fsync(fileno(file_));
+  // A frame is acked only once its line is durable: a failed sync fails
+  // the frame exactly like a short write.
+  if (fsync(fileno(file_)) != 0)
+    throw std::runtime_error("eventlog: fsync failed for '" + path_ + "'");
 #endif
 }
 

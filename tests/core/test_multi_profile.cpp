@@ -158,7 +158,23 @@ TEST_P(MultiProfileOracleTest, RandomOpsMatchPerTimestepOracle) {
                            << " dur=" << dur << " from=" << from;
       oracle.reserve(got, got + dur, procs, bb);
       live.push_back({got, got + dur, procs, bb});
-    } else if (dice < 0.85) {
+    } else if (dice < 0.80 && !live.empty()) {
+      // Read-only compression probe on a live rectangle vs the oracle's
+      // earliest anchor with that rectangle released, which counts only
+      // when it moves the rectangle earlier.
+      const Live& r = live[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+      const sim::Time from = rng.uniform_int(0, r.b + 5);
+      const sim::Time got =
+          profile.earlier_anchor(r.procs, r.bb, r.e - r.b, from, r.b);
+      oracle.release(r.b, r.e, r.procs, r.bb);
+      const sim::Time anchor =
+          oracle.earliest_anchor(r.procs, r.bb, r.e - r.b, from);
+      oracle.reserve(r.b, r.e, r.procs, r.bb);
+      ASSERT_EQ(got, anchor < r.b ? anchor : sim::kNoTime)
+          << "procs=" << r.procs << " bb=" << r.bb << " [" << r.b << ", "
+          << r.e << ") from=" << from;
+    } else if (dice < 0.90) {
       const int procs = static_cast<int>(rng.uniform_int(1, kProcs / 2));
       const int bb = static_cast<int>(rng.uniform_int(0, kBb / 2));
       const sim::Time b = rng.uniform_int(0, kFrom);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <vector>
 
 #include "test_support.hpp"
 
@@ -127,6 +130,59 @@ TEST(Priority, ComparatorIsStrictWeakOrder) {
         if (less(a, b)) {
           EXPECT_FALSE(less(b, a));
         }
+    }
+  }
+}
+
+TEST(Priority, RestoreXFactorOrderMatchesTheStableSort) {
+  // Random queue histories, repaired pass after pass the way
+  // SchedulerBase keeps its queue: the repair must reproduce exactly the
+  // permutation stable_sort gives, from whatever order the previous
+  // repair left. Covers clock steps of zero and huge ones, arrivals at
+  // `now` and with past submits (requeued victims), erases anywhere,
+  // tied submits and estimates, and estimates of 1 and near kTimeMax
+  // (whose expansion factors round to exact ties).
+  const Time estimates[] = {1, 1, 2, 60, 60, 3600, sim::kTimeMax - 7,
+                            sim::kTimeMax};
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    sim::Rng rng{seed};
+    std::vector<Job> queue;
+    std::vector<double> keys;
+    Time now = 0;
+    JobId next_id = 0;
+    for (int pass = 0; pass < 300; ++pass) {
+      const double step = rng.next_double();
+      if (step >= 0.3)
+        now += step < 0.9 ? rng.uniform_int(1, 500)
+                          : rng.uniform_int(1'000'000, 1'000'000'000);
+      for (std::int64_t erases = rng.uniform_int(0, 3);
+           erases > 0 && !queue.empty(); --erases)
+        queue.erase(queue.begin() +
+                    rng.uniform_int(0, static_cast<std::int64_t>(
+                                           queue.size()) - 1));
+      for (std::int64_t arrivals = rng.uniform_int(0, 4); arrivals > 0;
+           --arrivals) {
+        Time submit = now;
+        if (rng.bernoulli(0.4))
+          submit = !queue.empty() && rng.bernoulli(0.5)
+                       ? queue[static_cast<std::size_t>(rng.uniform_int(
+                             0, static_cast<std::int64_t>(queue.size()) - 1))]
+                             .submit
+                       : rng.uniform_int(0, now);
+        const Time estimate =
+            rng.bernoulli(0.5)
+                ? estimates[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(std::size(estimates)) -
+                             1))]
+                : rng.uniform_int(1, 100'000);
+        queue.push_back(make_job(next_id++, submit, estimate, 1));
+      }
+      std::vector<Job> want = queue;
+      sort_by_priority(want, PriorityPolicy::XFactor, now);
+      restore_xfactor_order(queue.data(), queue.data() + queue.size(), now,
+                            keys);
+      ASSERT_EQ(queue, want) << "seed " << seed << " pass " << pass
+                             << " now " << now;
     }
   }
 }

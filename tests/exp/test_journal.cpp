@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 
 #include "exp/fault.hpp"
@@ -82,6 +83,23 @@ TEST_F(JournalTest, MissingFileReadsAsEmpty) {
       read_journal(::testing::TempDir() + "bfsim-journal-never-written");
   EXPECT_TRUE(contents.cells.empty());
   EXPECT_FALSE(contents.truncated);
+}
+
+TEST_F(JournalTest, FailedSyncThrowsInsteadOfCheckpointing) {
+#ifndef __linux__
+  GTEST_SKIP() << "relies on fsync(/dev/null) failing with EINVAL (Linux)";
+#endif
+  // /dev/null takes every write but cannot be synced: the journal must
+  // refuse, naming the file, so no cell is ever counted as checkpointed
+  // without a durable record.
+  try {
+    JournalWriter writer{"/dev/null"};
+    FAIL() << "an unsyncable journal was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("fsync failed for '/dev/null'"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST_F(JournalTest, ForeignFileIsRejectedAsNotAJournal) {

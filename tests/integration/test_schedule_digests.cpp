@@ -1,4 +1,4 @@
-// Pinned schedule digests for the reservation-holding schedulers.
+// Pinned schedule digests for every scheduler kind.
 //
 // Each cell replays one small random trace and folds every outcome's
 // start, end and requeue count into a 64-bit FNV-1a digest. The grid
@@ -8,7 +8,10 @@
 // trace). The pinned values are the schedules of the dedicated plan
 // and slack implementations that plan-as-unbounded-kres and
 // slack-on-conservative replaced, so any drift in those refactors
-// shows up here as a changed digest.
+// shows up here as a changed digest. The nobackfill, easy, kres and
+// selective rows were recorded before the xfactor queue order moved
+// from a per-pass re-sort to an insertion repair, so they pin that
+// path at cell level too.
 //
 // One deliberate exception: under xfactor with outages the old plan
 // skipped its replan at repairs and kept a plan ordered by a stale
@@ -242,6 +245,126 @@ TEST(ScheduleDigests, Plan) {
                      0xc54a19ad72a05f0fULL,  // xfactor/2x/nobb/outages
                      0x295691e6de947998ULL,  // xfactor/2x/bb/clean
                      0x7597d28329be5a23ULL,  // xfactor/2x/bb/outages
+                 });
+}
+
+TEST(ScheduleDigests, NoBackfill) {
+  expect_digests(SchedulerKind::Fcfs, {},
+                 {
+                     0x05a853797646dfafULL,  // fcfs/exact/nobb/clean
+                     0xbab3f30422641e42ULL,  // fcfs/exact/nobb/outages
+                     0x05a853797646dfafULL,  // fcfs/exact/bb/clean
+                     0x8e6d27fba25956e7ULL,  // fcfs/exact/bb/outages
+                     0x05a853797646dfafULL,  // fcfs/2x/nobb/clean
+                     0xbab3f30422641e42ULL,  // fcfs/2x/nobb/outages
+                     0x05a853797646dfafULL,  // fcfs/2x/bb/clean
+                     0x8e6d27fba25956e7ULL,  // fcfs/2x/bb/outages
+                     0x64011af068d09699ULL,  // sjf/exact/nobb/clean
+                     0x0e6e9f1abe6410bfULL,  // sjf/exact/nobb/outages
+                     0x64011af068d09699ULL,  // sjf/exact/bb/clean
+                     0x443058f00b3d8c28ULL,  // sjf/exact/bb/outages
+                     0x64011af068d09699ULL,  // sjf/2x/nobb/clean
+                     0x0e6e9f1abe6410bfULL,  // sjf/2x/nobb/outages
+                     0x64011af068d09699ULL,  // sjf/2x/bb/clean
+                     0x443058f00b3d8c28ULL,  // sjf/2x/bb/outages
+                     0xa1c5807dbc38d4a6ULL,  // xfactor/exact/nobb/clean
+                     0x495cc0d1b2c04a8cULL,  // xfactor/exact/nobb/outages
+                     0xa1c5807dbc38d4a6ULL,  // xfactor/exact/bb/clean
+                     0xc6e2c68832d38dc6ULL,  // xfactor/exact/bb/outages
+                     0xa1c5807dbc38d4a6ULL,  // xfactor/2x/nobb/clean
+                     0x495cc0d1b2c04a8cULL,  // xfactor/2x/nobb/outages
+                     0xa1c5807dbc38d4a6ULL,  // xfactor/2x/bb/clean
+                     0xc6e2c68832d38dc6ULL,  // xfactor/2x/bb/outages
+                 });
+}
+
+TEST(ScheduleDigests, Easy) {
+  expect_digests(SchedulerKind::Easy, {},
+                 {
+                     0xbc0ebae9754e417aULL,  // fcfs/exact/nobb/clean
+                     0x518942dddf514b44ULL,  // fcfs/exact/nobb/outages
+                     0x08ce1eb40c27f6a2ULL,  // fcfs/exact/bb/clean
+                     0x0ef897fa810cb3e2ULL,  // fcfs/exact/bb/outages
+                     0x1953e8f7b80c6689ULL,  // fcfs/2x/nobb/clean
+                     0xc2979036c4393d30ULL,  // fcfs/2x/nobb/outages
+                     0xe76ce0703177a318ULL,  // fcfs/2x/bb/clean
+                     0xd0a32451f521a8e5ULL,  // fcfs/2x/bb/outages
+                     0x46f4610b27388ed4ULL,  // sjf/exact/nobb/clean
+                     0xf431c7cfdffc2c67ULL,  // sjf/exact/nobb/outages
+                     0x219981d130c8060fULL,  // sjf/exact/bb/clean
+                     0xbb29df34ed8a8023ULL,  // sjf/exact/bb/outages
+                     0xdc598606863949ebULL,  // sjf/2x/nobb/clean
+                     0xb8f50c554f2ce58cULL,  // sjf/2x/nobb/outages
+                     0xedebbec9db340380ULL,  // sjf/2x/bb/clean
+                     0x8cfa89b4337c1bd3ULL,  // sjf/2x/bb/outages
+                     0xe195fe2613dec503ULL,  // xfactor/exact/nobb/clean
+                     0x779fd100b86b2df2ULL,  // xfactor/exact/nobb/outages
+                     0x3cf2df483ddd48ffULL,  // xfactor/exact/bb/clean
+                     0xd93f4af7026df0ceULL,  // xfactor/exact/bb/outages
+                     0x3cf6e45ba1681c44ULL,  // xfactor/2x/nobb/clean
+                     0x7247935a1633030fULL,  // xfactor/2x/nobb/outages
+                     0x4d272b10db543c37ULL,  // xfactor/2x/bb/clean
+                     0x04d1f744ba2cda67ULL,  // xfactor/2x/bb/outages
+                 });
+}
+
+TEST(ScheduleDigests, KReservation) {
+  expect_digests(SchedulerKind::KReservation, {},
+                 {
+                     0x00c0cc924d931fecULL,  // fcfs/exact/nobb/clean
+                     0x80cadeac9462969aULL,  // fcfs/exact/nobb/outages
+                     0x92cfb7ef40f1d2a5ULL,  // fcfs/exact/bb/clean
+                     0x63e80e3791e4aa2bULL,  // fcfs/exact/bb/outages
+                     0xd5cfb52931f6790dULL,  // fcfs/2x/nobb/clean
+                     0x996280e07b355d90ULL,  // fcfs/2x/nobb/outages
+                     0xb636cb7578838f3cULL,  // fcfs/2x/bb/clean
+                     0xaca84a3debeaa989ULL,  // fcfs/2x/bb/outages
+                     0xfeb38ab287f811bcULL,  // sjf/exact/nobb/clean
+                     0xb08de896e1abf24dULL,  // sjf/exact/nobb/outages
+                     0xd08804dc42f19aafULL,  // sjf/exact/bb/clean
+                     0x1b535514f74d4302ULL,  // sjf/exact/bb/outages
+                     0x244613fb90863d9cULL,  // sjf/2x/nobb/clean
+                     0xe2704b517f620207ULL,  // sjf/2x/nobb/outages
+                     0x77d303f6b12a6fe3ULL,  // sjf/2x/bb/clean
+                     0xb168bf5e22b48514ULL,  // sjf/2x/bb/outages
+                     0xcbf822a6043bbb22ULL,  // xfactor/exact/nobb/clean
+                     0x87a93f416e849a82ULL,  // xfactor/exact/nobb/outages
+                     0xb4541b02be0d5f7dULL,  // xfactor/exact/bb/clean
+                     0xc3121373512061a3ULL,  // xfactor/exact/bb/outages
+                     0x4019ebfc2dd9cc85ULL,  // xfactor/2x/nobb/clean
+                     0x3ecc7e95b3b66a37ULL,  // xfactor/2x/nobb/outages
+                     0x41240ed36d2cfcd9ULL,  // xfactor/2x/bb/clean
+                     0x5f6a4cf639f960acULL,  // xfactor/2x/bb/outages
+                 });
+}
+
+TEST(ScheduleDigests, Selective) {
+  expect_digests(SchedulerKind::Selective, {},
+                 {
+                     0x4e69fae5a85bf1afULL,  // fcfs/exact/nobb/clean
+                     0xd0589c3361a5c9d2ULL,  // fcfs/exact/nobb/outages
+                     0x9436b223d0ec6204ULL,  // fcfs/exact/bb/clean
+                     0xd35fb96c3f8e7704ULL,  // fcfs/exact/bb/outages
+                     0x353b90d78fa80a76ULL,  // fcfs/2x/nobb/clean
+                     0x489222ddcbf3115aULL,  // fcfs/2x/nobb/outages
+                     0x3f68edfad5e86c95ULL,  // fcfs/2x/bb/clean
+                     0x9dd28ba64caa3f30ULL,  // fcfs/2x/bb/outages
+                     0xff8204ba8f444916ULL,  // sjf/exact/nobb/clean
+                     0x11b8edb44f08a8c5ULL,  // sjf/exact/nobb/outages
+                     0x09a49c01127e4381ULL,  // sjf/exact/bb/clean
+                     0x2242a88a1c8af272ULL,  // sjf/exact/bb/outages
+                     0xfa50b02ad61934deULL,  // sjf/2x/nobb/clean
+                     0xc53d4164acc71ce1ULL,  // sjf/2x/nobb/outages
+                     0x1ee4ae1efb5ab7caULL,  // sjf/2x/bb/clean
+                     0x021689317769a66fULL,  // sjf/2x/bb/outages
+                     0x97f80e6c8a127547ULL,  // xfactor/exact/nobb/clean
+                     0x072b697d91a34158ULL,  // xfactor/exact/nobb/outages
+                     0x9abe45b4c06d3d9aULL,  // xfactor/exact/bb/clean
+                     0x6c2b8446a1bb129eULL,  // xfactor/exact/bb/outages
+                     0xf308845c011bf333ULL,  // xfactor/2x/nobb/clean
+                     0x719a198a917adcc9ULL,  // xfactor/2x/nobb/outages
+                     0x9e7900024d27ae1aULL,  // xfactor/2x/bb/clean
+                     0xd8872fc8eb899661ULL,  // xfactor/2x/bb/outages
                  });
 }
 

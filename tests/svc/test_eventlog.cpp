@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "core/simulation.hpp"
@@ -49,6 +50,23 @@ TEST(EventLog, RoundTripsHelloAndFrames) {
   EXPECT_EQ(contents.frames[1].first, 2u);
   EXPECT_FALSE(contents.truncated);
   std::remove(path.c_str());
+}
+
+TEST(EventLog, FailedSyncThrowsInsteadOfAcking) {
+#ifndef __linux__
+  GTEST_SKIP() << "relies on fsync(/dev/null) failing with EINVAL (Linux)";
+#endif
+  // /dev/null takes every write but cannot be synced, so the header line
+  // is never durable: the writer must refuse, naming the file, rather
+  // than go on to ack frames it cannot sync.
+  try {
+    EventLogWriter writer{"/dev/null"};
+    FAIL() << "an unsyncable event log was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("fsync failed for '/dev/null'"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(EventLog, MissingFileReadsAsEmpty) {
