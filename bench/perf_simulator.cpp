@@ -14,8 +14,8 @@
 //     *cost factor* (EASY events/sec divided by conservative events/sec
 //     -- a same-machine ratio, so it normalizes out hardware speed) and
 //     exits 1 if it regressed more than 2x against the checked-in
-//     bench/perf_baseline.json; the auditor's overhead ratios are banded
-//     the same way;
+//     bench/perf_baseline.json; the auditor's overhead ratios and the
+//     served front's in-process overhead are banded the same way;
 //   * --audit-overhead [--jobs N]: audited / bare replay time of the
 //     profile-keeping schedulers (conservative, slack) and of plan, which
 //     gets the universal checks only, over three N-job CTC traces, one
@@ -44,6 +44,8 @@
 #include "metrics/report.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "svc/client.hpp"
+#include "svc/session.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/transforms.hpp"
 
@@ -225,7 +227,10 @@ BENCHMARK(BM_RngGamma);
 using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+  // Spelled out: the linter reads `Clock::now()` as sim::Engine::now().
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 struct SimPoint {
@@ -520,6 +525,44 @@ DecisionLatencyStats measure_decision_latency(const workload::Trace& trace,
   return stats;
 }
 
+struct ServedCodecStats {
+  double served_seconds = 0.0;  ///< served_run over a LocalChannel
+  double direct_seconds = 0.0;  ///< run_simulation on the same trace
+  /// served / direct (1.0 = free): what the served front adds in
+  /// process -- frame encoding and parsing, the session and the replay
+  /// client -- without a socket hop. The smoke guard bands it.
+  double overhead = 1.0;
+};
+
+/// The served front's in-process overhead on conservative-fcfs: the
+/// fastest of five interleaved served_run replays (RemoteDecisionCore
+/// over a LocalChannel into a fresh Session) over the fastest of five
+/// run_simulation replays of the same trace.
+ServedCodecStats measure_served_codec(const workload::Trace& trace,
+                                      int procs) {
+  svc::HelloRequest hello;
+  hello.kind = core::SchedulerKind::Conservative;
+  hello.config = {procs, core::PriorityPolicy::Fcfs};
+  ServedCodecStats stats;
+  stats.served_seconds = std::numeric_limits<double>::infinity();
+  stats.direct_seconds = std::numeric_limits<double>::infinity();
+  for (int rep = 0; rep < 5; ++rep) {
+    auto start = Clock::now();
+    benchmark::DoNotOptimize(
+        core::run_simulation(trace, hello.kind, hello.config).makespan);
+    stats.direct_seconds =
+        std::min(stats.direct_seconds, seconds_since(start));
+    svc::Session session;
+    svc::LocalChannel channel{session};
+    start = Clock::now();
+    benchmark::DoNotOptimize(svc::served_run(trace, channel, hello).makespan);
+    stats.served_seconds =
+        std::min(stats.served_seconds, seconds_since(start));
+  }
+  stats.overhead = stats.served_seconds / stats.direct_seconds;
+  return stats;
+}
+
 struct AuditOverhead {
   std::string scheme;
   double bare_seconds = 0.0;
@@ -656,6 +699,7 @@ struct Report {
   AnchorStats anchors;
   BreakpointStats breakpoints;
   DecisionLatencyStats decision;
+  ServedCodecStats served;
   std::vector<AuditOverhead> audits;
   SweepStats sweep;
 };
@@ -692,6 +736,7 @@ Report build_report(std::size_t jobs) {
   report.anchors = measure_anchors(trace, procs);
   report.breakpoints = measure_breakpoints(trace, procs);
   report.decision = measure_decision_latency(trace, procs);
+  report.served = measure_served_codec(trace, procs);
   // The two schedulers whose audits cross-check a profile every cycle.
   for (const core::SchedulerKind kind :
        {core::SchedulerKind::Conservative, core::SchedulerKind::Slack})
@@ -757,7 +802,8 @@ void write_json(const Report& report, const std::string& path) {
       << "  \"decision_finish_p99_ns\": " << report.decision.finish_p99_ns
       << ",\n"
       << "  \"decision_seam_overhead\": " << report.decision.seam_overhead
-      << ",\n";
+      << ",\n"
+      << "  \"served_codec_overhead\": " << report.served.overhead << ",\n";
   for (const AuditOverhead& a : report.audits)
     out << "  \"audit_overhead_" << a.scheme << "\": " << a.ratio << ",\n";
   out << "  \"sweep\": {\"cells\": " << report.sweep.cells
@@ -801,6 +847,10 @@ void print_report(const Report& report) {
               report.decision.submit_p50_ns, report.decision.submit_p99_ns,
               report.decision.finish_p50_ns, report.decision.finish_p99_ns,
               report.decision.seam_overhead);
+  std::printf("served front (conservative-fcfs, in process): %.2fx "
+              "run_simulation (%.4fs vs %.4fs)\n",
+              report.served.overhead, report.served.served_seconds,
+              report.served.direct_seconds);
   for (const AuditOverhead& a : report.audits)
     std::printf("audit overhead %s: %.2fx bare replay (%.4fs vs %.4fs, "
                 "%llu checks)\n",
@@ -938,6 +988,24 @@ int run_smoke(const ReportOptions& options) {
         "limit %.3f -- ",
         report.decision.seam_overhead, base_overhead, seam_limit);
     if (report.decision.seam_overhead > seam_limit) {
+      std::printf("FAIL\n");
+      ok = false;
+    } else {
+      std::printf("OK\n");
+    }
+  }
+  // The served front's band: served_run over a LocalChannel against
+  // run_simulation of the same trace, a same-machine ratio like the
+  // seam's. It covers the frame codec, the session and the replay
+  // client; the socket hop is not in it.
+  double base_served = 0.0;
+  if (read_json_number(options.baseline, "served_codec_overhead",
+                       base_served) &&
+      base_served > 0.0) {
+    std::printf("perf smoke: served_codec_overhead %.3f, baseline %.3f, "
+                "limit %.3f -- ",
+                report.served.overhead, base_served, 2.0 * base_served);
+    if (report.served.overhead > 2.0 * base_served) {
       std::printf("FAIL\n");
       ok = false;
     } else {

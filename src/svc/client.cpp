@@ -77,17 +77,8 @@ std::uint64_t reply_uint(const Json& frame, std::string_view key) {
 
 std::string FdChannel::roundtrip(const std::string& line) {
 #if defined(__unix__) || defined(__APPLE__)
-  const std::string out = line + '\n';
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const ssize_t wrote = ::write(out_fd_, out.data() + done,
-                                  out.size() - done);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      throw ChannelError("write failed: peer gone");
-    }
-    done += static_cast<std::size_t>(wrote);
-  }
+  if (!out_.write_all(line + '\n'))
+    throw ChannelError("write failed: peer gone");
   while (true) {
     const std::size_t newline = buffer_.find('\n');
     if (newline != std::string::npos) {
@@ -153,68 +144,43 @@ void RemoteDecisionCore::reconnect(LineChannel& channel) {
 
 void RemoteDecisionCore::on_submit(const core::Job& job, core::Time now) {
   (void)now;  // the batch instant ships once, on the frame
-  Json event = Json::object();
-  event.set("kind", Json::string("submit"));
-  event.set("id", Json::integer(static_cast<std::int64_t>(job.id)));
-  event.set("submit", Json::integer(job.submit));
-  event.set("estimate", Json::integer(job.estimate));
-  event.set("procs", Json::integer(job.procs));
-  event.set("bb", Json::integer(job.bb));
-  events_.push_back(std::move(event));
+  batch_.events.push_back({EventKind::kSubmit, job.id, job, {}});
 }
 
 void RemoteDecisionCore::on_finish(workload::JobId id, core::Time now) {
   (void)now;
-  Json event = Json::object();
-  event.set("kind", Json::string("finish"));
-  event.set("id", Json::integer(static_cast<std::int64_t>(id)));
-  events_.push_back(std::move(event));
+  batch_.events.push_back({EventKind::kFinish, id, {}, {}});
 }
 
 void RemoteDecisionCore::on_cancel(workload::JobId id, core::Time now) {
   (void)now;
-  Json event = Json::object();
-  event.set("kind", Json::string("cancel"));
-  event.set("id", Json::integer(static_cast<std::int64_t>(id)));
-  events_.push_back(std::move(event));
+  batch_.events.push_back({EventKind::kCancel, id, {}, {}});
 }
 
 void RemoteDecisionCore::on_wake(core::Time now) {
   (void)now;
-  Json event = Json::object();
-  event.set("kind", Json::string("wake"));
-  events_.push_back(std::move(event));
+  batch_.events.push_back({EventKind::kWake, workload::kInvalidJob, {}, {}});
 }
 
 void RemoteDecisionCore::on_node_down(const sim::Outage& outage,
                                       core::Time now) {
   (void)now;  // down_at is implied by the batch instant
-  Json event = Json::object();
-  event.set("kind", Json::string("down"));
-  event.set("outage", Json::integer(static_cast<std::int64_t>(outage.id)));
-  event.set("repair", Json::integer(outage.repair_at));
-  event.set("procs", Json::integer(outage.procs));
-  event.set("bb", Json::integer(outage.bb));
-  events_.push_back(std::move(event));
+  batch_.events.push_back(
+      {EventKind::kDown, workload::kInvalidJob, {}, outage});
 }
 
 void RemoteDecisionCore::on_node_up(sim::OutageId id, core::Time now) {
   (void)now;
-  Json event = Json::object();
-  event.set("kind", Json::string("up"));
-  event.set("outage", Json::integer(static_cast<std::int64_t>(id)));
-  events_.push_back(std::move(event));
+  batch_.events.push_back(
+      {EventKind::kRepair, workload::kInvalidJob, {}, {.id = id}});
 }
 
 core::CycleDecision RemoteDecisionCore::end_cycle(core::Time now) {
   const std::uint64_t seq = acked_seq_ + 1;
-  Json frame = Json::object();
-  frame.set("type", Json::string("events"));
-  frame.set("seq", Json::integer(static_cast<std::int64_t>(seq)));
-  frame.set("now", Json::integer(now));
-  frame.set("events", std::move(events_));
-  events_ = Json::array();
-  inflight_ = frame.dump();
+  batch_.seq = seq;
+  batch_.now = now;
+  inflight_ = events_request(batch_);
+  batch_.events.clear();
   std::string reply;
   try {
     reply = channel_->roundtrip(inflight_);

@@ -29,6 +29,7 @@
 #include "core/replay.hpp"
 #include "core/simulation.hpp"
 #include "svc/protocol.hpp"
+#include "svc/server.hpp"
 #include "svc/session.hpp"
 
 namespace bfsim::svc {
@@ -66,15 +67,16 @@ class LocalChannel final : public LineChannel {
 };
 
 /// Channel over a descriptor pair (socket: pass the same fd twice).
-/// Owns nothing; the caller manages the descriptors' lifetime.
+/// Owns nothing; the caller manages the descriptors' lifetime. A peer
+/// that hung up is a ChannelError, never a SIGPIPE (see FdWriter).
 class FdChannel final : public LineChannel {
  public:
-  FdChannel(int in_fd, int out_fd) : in_fd_(in_fd), out_fd_(out_fd) {}
+  FdChannel(int in_fd, int out_fd) : in_fd_(in_fd), out_(out_fd) {}
   [[nodiscard]] std::string roundtrip(const std::string& line) override;
 
  private:
   int in_fd_;
-  int out_fd_;
+  FdWriter out_;
   std::string buffer_;  ///< bytes read past the last reply line
 };
 
@@ -116,7 +118,7 @@ class RemoteDecisionCore {
   LineChannel* channel_;
   HelloRequest hello_;
   std::string scheduler_name_;
-  Json events_ = Json::array();   ///< batch under construction
+  EventBatch batch_;              ///< batch under construction
   std::uint64_t acked_seq_ = 0;   ///< frames with a received reply
   std::string inflight_;          ///< sent frame awaiting its reply
   std::vector<workload::JobId> start_storage_;

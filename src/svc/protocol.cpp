@@ -1,6 +1,8 @@
 #include "svc/protocol.hpp"
 
+#include <charconv>
 #include <limits>
+#include <span>
 
 #include "core/priority.hpp"
 #include "sim/time.hpp"
@@ -189,7 +191,8 @@ Event parse_event(const Json& entry) {
     if (bb < 0 || bb > std::numeric_limits<int>::max())
       reject("bad-value", "'bb' must be a non-negative burst-buffer loss");
     event.outage.bb = static_cast<int>(bb);
-    if (event.outage.procs + event.outage.bb < 1)
+    // Both are non-negative; their sum could overflow.
+    if (event.outage.procs == 0 && event.outage.bb == 0)
       reject("bad-value", "a down event must lose some capacity");
   } else if (kind == "up") {
     event.kind = EventKind::kRepair;
@@ -219,7 +222,80 @@ EventBatch parse_events(const Json& frame) {
   return batch;
 }
 
+// The hot-frame encoders below write what Json::dump would write for
+// the same members: std::to_chars prints an integer as std::to_string
+// does, and the keys need no escaping.
+
+void append_int(std::string& out, std::int64_t value) {
+  char digits[20];  // "-9223372036854775808"
+  const std::to_chars_result done =
+      std::to_chars(digits, digits + sizeof digits, value);
+  out.append(digits, done.ptr);
+}
+
+/// `,"key":value` -- a member after the first.
+void append_member(std::string& out, std::string_view key,
+                   std::int64_t value) {
+  out += ",\"";
+  out += key;
+  out += "\":";
+  append_int(out, value);
+}
+
+void append_ids(std::string& out, std::span<const workload::JobId> ids) {
+  out += '[';
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) out += ',';
+    append_int(out, static_cast<std::int64_t>(ids[i]));
+  }
+  out += ']';
+}
+
 }  // namespace
+
+std::string events_request(const EventBatch& batch) {
+  std::string out;
+  out.reserve(64 + 80 * batch.events.size());
+  out += R"({"type":"events")";
+  append_member(out, "seq", static_cast<std::int64_t>(batch.seq));
+  append_member(out, "now", batch.now);
+  out += R"(,"events":[)";
+  for (std::size_t i = 0; i < batch.events.size(); ++i) {
+    const Event& event = batch.events[i];
+    if (i > 0) out += ',';
+    out += R"({"kind":")";
+    out += to_string(event.kind);
+    out += '"';
+    switch (event.kind) {
+      case EventKind::kFinish:
+      case EventKind::kCancel:
+        append_member(out, "id", static_cast<std::int64_t>(event.id));
+        break;
+      case EventKind::kSubmit:
+        append_member(out, "id", static_cast<std::int64_t>(event.job.id));
+        append_member(out, "submit", event.job.submit);
+        append_member(out, "estimate", event.job.estimate);
+        append_member(out, "procs", event.job.procs);
+        append_member(out, "bb", event.job.bb);
+        break;
+      case EventKind::kDown:
+        append_member(out, "outage",
+                      static_cast<std::int64_t>(event.outage.id));
+        append_member(out, "repair", event.outage.repair_at);
+        append_member(out, "procs", event.outage.procs);
+        append_member(out, "bb", event.outage.bb);
+        break;
+      case EventKind::kRepair:
+        append_member(out, "outage",
+                      static_cast<std::int64_t>(event.outage.id));
+        break;
+      case EventKind::kWake: break;
+    }
+    out += '}';
+  }
+  out += "]}";
+  return out;
+}
 
 std::string_view to_string(EventKind kind) {
   switch (kind) {
@@ -277,27 +353,26 @@ std::string welcome_reply(const std::string& scheduler_name,
 
 std::string decision_reply(std::uint64_t seq, core::Time now,
                            const core::CycleDecision& decision) {
-  Json reply = Json::object();
-  reply.set("type", Json::string("decisions"));
-  reply.set("seq", Json::integer(static_cast<std::int64_t>(seq)));
-  reply.set("now", Json::integer(now));
-  reply.set("pass", Json::boolean(decision.pass_ran));
-  Json starts = Json::array();
-  for (const workload::JobId id : decision.starts)
-    starts.push_back(Json::integer(static_cast<std::int64_t>(id)));
-  reply.set("starts", std::move(starts));
+  std::string out;
+  out.reserve(96 + 8 * (decision.starts.size() + decision.killed.size()));
+  out += R"({"type":"decisions")";
+  append_member(out, "seq", static_cast<std::int64_t>(seq));
+  append_member(out, "now", now);
+  out += decision.pass_ran ? R"(,"pass":true)" : R"(,"pass":false)";
+  out += R"(,"starts":)";
+  append_ids(out, decision.starts);
   // Emitted only when an outage voided runs, so outage-free replies are
   // byte-identical to protocol v2's.
   if (!decision.killed.empty()) {
-    Json killed = Json::array();
-    for (const workload::JobId id : decision.killed)
-      killed.push_back(Json::integer(static_cast<std::int64_t>(id)));
-    reply.set("killed", std::move(killed));
+    out += R"(,"killed":)";
+    append_ids(out, decision.killed);
   }
-  reply.set("next_wakeup", decision.next_wakeup == sim::kNoTime
-                               ? Json::null()
-                               : Json::integer(decision.next_wakeup));
-  return reply.dump();
+  if (decision.next_wakeup == sim::kNoTime)
+    out += R"(,"next_wakeup":null)";
+  else
+    append_member(out, "next_wakeup", decision.next_wakeup);
+  out += '}';
+  return out;
 }
 
 std::string stats_reply(const core::DecisionStats& stats, std::size_t queued,

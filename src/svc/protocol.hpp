@@ -139,8 +139,17 @@ struct Request {
 /// slug) on any malformed, oversized, unknown or ill-typed frame.
 [[nodiscard]] Request parse_request(std::string_view line);
 
+/// Encode one `events` frame (no trailing newline), the inverse of
+/// parse_request on it. Submits carry the job's id, submit, estimate,
+/// procs and bb; downs carry the outage's id, repair_at, procs and bb;
+/// finish and cancel carry `id`, up carries `outage.id`, wake nothing.
+[[nodiscard]] std::string events_request(const EventBatch& batch);
+
 // Reply builders. Every reply is one compact JSON line (no trailing
 // newline); field order is fixed, so replies are byte-deterministic.
+// The hot frames (`events` requests, `decisions` replies) carry only
+// integers, booleans and null under fixed ASCII keys, so they are
+// written straight into one string; the cold ones dump a Json tree.
 [[nodiscard]] std::string welcome_reply(const std::string& scheduler_name,
                                         std::uint64_t resumed_seq);
 [[nodiscard]] std::string decision_reply(std::uint64_t seq, core::Time now,

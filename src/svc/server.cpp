@@ -1,10 +1,9 @@
 #include "svc/server.hpp"
 
 #include <cerrno>
-#include <thread>
+#include <string>
 
 #include "svc/protocol.hpp"
-#include "svc/queue.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/socket.h>
@@ -13,15 +12,25 @@
 
 namespace bfsim::svc {
 
-namespace {
-
-/// Write all of `text`, riding out partial writes and EINTR. Returns
-/// false when the peer is gone.
-bool write_all(int fd, const std::string& text) {
+bool FdWriter::write_all(std::string_view bytes) {
   std::size_t done = 0;
-  while (done < text.size()) {
-    const ssize_t wrote =
-        ::write(fd, text.data() + done, text.size() - done);
+  while (done < bytes.size()) {
+    const char* data = bytes.data() + done;
+    const std::size_t size = bytes.size() - done;
+    ssize_t wrote = -1;
+#ifdef MSG_NOSIGNAL
+    if (socket_) {
+      wrote = ::send(fd_, data, size, MSG_NOSIGNAL);
+      if (wrote < 0 && errno == ENOTSOCK) {
+        socket_ = false;
+        continue;
+      }
+    } else {
+      wrote = ::write(fd_, data, size);
+    }
+#else
+    wrote = ::write(fd_, data, size);
+#endif
     if (wrote < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -31,72 +40,56 @@ bool write_all(int fd, const std::string& text) {
   return true;
 }
 
-/// The reader half: split the byte stream into lines and enqueue them.
-/// A line longer than kMaxFrameBytes is kept only up to the limit plus
-/// one byte -- enough for the session to classify it as oversized --
-/// and the rest of it is discarded as it streams in.
-void read_lines(int fd, BoundedQueue<std::string>& queue) {
+ServeResult serve_connection(int in_fd, int out_fd, Session& session) {
+  ServeResult result;
+  FdWriter out{out_fd};
+  // Serve one line; false ends the connection (bye or a dead peer).
+  const auto serve = [&](std::string_view line) {
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    if (line.empty()) return true;  // blank lines are not frames
+    ++result.lines;
+    std::string reply = session.handle_line(line);
+    reply += '\n';
+    if (!out.write_all(reply)) return false;
+    result.clean_bye = session.closed();
+    return !result.clean_bye;
+  };
+  // The start of a line that a read cut off. At most kMaxFrameBytes + 1
+  // bytes are kept -- enough for the session to classify the line as
+  // oversized -- and the rest of the line is dropped as it arrives.
   std::string partial;
-  bool discarding = false;
+  const auto keep = [&partial](std::string_view piece) {
+    const std::size_t room = kMaxFrameBytes + 1 - partial.size();
+    partial.append(piece.substr(0, room));
+  };
   char buffer[4096];
   while (true) {
-    const ssize_t got = ::read(fd, buffer, sizeof buffer);
+    const ssize_t got = ::read(in_fd, buffer, sizeof buffer);
     if (got < 0) {
       if (errno == EINTR) continue;
-      break;
+      return result;
     }
-    if (got == 0) break;  // EOF
+    // A last unterminated line still counts: EOF ends the frame.
+    if (got == 0) {
+      if (!partial.empty()) (void)serve(partial);
+      return result;
+    }
+    const std::string_view chunk{buffer, static_cast<std::size_t>(got)};
     std::size_t start = 0;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(got); ++i) {
-      if (buffer[i] != '\n') continue;
-      if (!discarding) partial.append(buffer + start, i - start);
-      start = i + 1;
-      discarding = false;
-      if (!partial.empty() && partial.back() == '\r') partial.pop_back();
-      if (!partial.empty() && !queue.push(std::move(partial))) return;
-      partial.clear();
-    }
-    if (!discarding) {
-      partial.append(buffer + start, static_cast<std::size_t>(got) - start);
-      if (partial.size() > kMaxFrameBytes + 1) {
-        partial.resize(kMaxFrameBytes + 1);
-        discarding = true;  // swallow the tail until the next newline
+    for (std::size_t end = chunk.find('\n'); end != std::string_view::npos;
+         end = chunk.find('\n', start)) {
+      std::string_view line = chunk.substr(start, end - start);
+      start = end + 1;
+      if (!partial.empty()) {
+        keep(line);
+        line = partial;
       }
+      const bool more = serve(line);
+      partial.clear();
+      if (!more) return result;
     }
+    keep(chunk.substr(start));
   }
-  // A last unterminated line still counts: EOF ends the frame.
-  if (!partial.empty()) queue.push(std::move(partial));
-  queue.close();
-}
-
-}  // namespace
-
-ServeResult serve_connection(int in_fd, int out_fd, Session& session,
-                             const ServeOptions& options) {
-  ServeResult result;
-  BoundedQueue<std::string> queue{options.queue_capacity};
-  std::thread reader{[in_fd, &queue] { read_lines(in_fd, queue); }};
-  while (true) {
-    std::optional<std::string> line = queue.pop();
-    if (!line) break;  // EOF reached and backlog drained
-    ++result.lines;
-    const std::string reply = session.handle_line(*line);
-    if (!write_all(out_fd, reply + '\n')) break;
-    if (session.closed()) {
-      result.clean_bye = true;
-      break;
-    }
-  }
-#if defined(__unix__) || defined(__APPLE__)
-  // Kick a reader still blocked in read(2) (sockets only; on a pipe
-  // this fails harmlessly and the client's close delivers the EOF).
-  ::shutdown(in_fd, SHUT_RD);
-#endif
-  queue.close();
-  // Drain pushers: the reader may be blocked in push(); close() above
-  // unblocks it and it exits on its own.
-  reader.join();
-  return result;
 }
 
 }  // namespace bfsim::svc

@@ -1,96 +1,41 @@
-// The threaded transport: BoundedQueue backpressure semantics and
-// serve_connection's reader/worker pair over real descriptors. Lives
-// in the svc concurrency binary so CI reruns it under TSan.
+// The transport: serve_connection's one-thread line splitter over real
+// descriptors, and the rule that a peer which hung up ends a
+// connection, never the process (no SIGPIPE on either end). Lives in
+// the svc concurrency binary so CI reruns it under TSan: the harness
+// runs the server on its own thread against a live session.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstdlib>
 #include <string>
 #include <thread>
-#include <vector>
 
+#include "svc/client.hpp"
 #include "svc/json.hpp"
 #include "svc/protocol.hpp"
-#include "svc/queue.hpp"
 #include "svc/server.hpp"
 #include "svc/session.hpp"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 namespace bfsim::svc {
 namespace {
 
-TEST(BoundedQueue, FifoOrder) {
-  BoundedQueue<int> queue{4};
-  EXPECT_TRUE(queue.push(1));
-  EXPECT_TRUE(queue.push(2));
-  EXPECT_TRUE(queue.push(3));
-  EXPECT_EQ(queue.pop(), 1);
-  EXPECT_EQ(queue.pop(), 2);
-  EXPECT_EQ(queue.pop(), 3);
-}
-
-TEST(BoundedQueue, FullQueueBlocksThePusherUntilAPop) {
-  BoundedQueue<int> queue{1};
-  ASSERT_TRUE(queue.push(0));
-  std::atomic<bool> pushed{false};
-  std::thread producer{[&] {
-    EXPECT_TRUE(queue.push(1));  // blocks: capacity 1, queue full
-    pushed = true;
-  }};
-  // The producer cannot complete until the consumer makes room.
-  EXPECT_EQ(queue.pop(), 0);
-  EXPECT_EQ(queue.pop(), 1);  // waits for the producer's push
-  producer.join();
-  EXPECT_TRUE(pushed);
-}
-
-TEST(BoundedQueue, CloseUnblocksBothSides) {
-  BoundedQueue<int> queue{1};
-  ASSERT_TRUE(queue.push(7));
-  std::thread blocked_pusher{[&] {
-    EXPECT_FALSE(queue.push(8));  // blocked full, then closed
-  }};
-  std::thread closer{[&] { queue.close(); }};
-  closer.join();
-  blocked_pusher.join();
-  // close() is end-of-stream, not abort: the backlog still drains.
-  EXPECT_EQ(queue.pop(), 7);
-  EXPECT_EQ(queue.pop(), std::nullopt);
-  EXPECT_FALSE(queue.push(9));
-}
-
-TEST(BoundedQueue, ManyProducersOneConsumer) {
-  constexpr int kProducers = 4;
-  constexpr int kEach = 500;
-  BoundedQueue<int> queue{8};  // far smaller than the item count
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p)
-    producers.emplace_back([&queue, p] {
-      for (int i = 0; i < kEach; ++i)
-        ASSERT_TRUE(queue.push(p * kEach + i));
-    });
-  std::vector<int> seen(kProducers * kEach, 0);
-  for (int i = 0; i < kProducers * kEach; ++i) {
-    const std::optional<int> value = queue.pop();
-    ASSERT_TRUE(value.has_value());
-    ++seen[static_cast<std::size_t>(*value)];
-  }
-  for (std::thread& producer : producers) producer.join();
-  for (const int count : seen) EXPECT_EQ(count, 1);
-}
+constexpr const char* kHello =
+    R"({"type":"hello","v":3,"scheduler":"easy","procs":8})";
+constexpr const char* kFirstBatch =
+    R"({"type":"events","seq":1,"now":0,"events":[)"
+    R"({"kind":"submit","id":0,"submit":0,"estimate":50,"procs":2}]})";
 
 /// A serve_connection harness over two pipes: writes frames in, reads
 /// reply lines out, with the server on its own thread.
 class PipeServer {
  public:
-  explicit PipeServer(Session& session, std::size_t queue_capacity = 4) {
+  explicit PipeServer(Session& session) {
     EXPECT_EQ(::pipe(to_server_), 0);
     EXPECT_EQ(::pipe(to_client_), 0);
-    server_ = std::thread{[this, &session, queue_capacity] {
-      ServeOptions options;
-      options.queue_capacity = queue_capacity;
-      result_ = serve_connection(to_server_[0], to_client_[1], session,
-                                 options);
+    server_ = std::thread{[this, &session] {
+      result_ = serve_connection(to_server_[0], to_client_[1], session);
       // Close the reply pipe so a reader waiting for more lines sees
       // EOF instead of hanging.
       ::close(to_client_[1]);
@@ -239,25 +184,133 @@ TEST(ServeConnection, BlankAndCarriageReturnLinesAreIgnored) {
   EXPECT_EQ(result.lines, 2u);  // blank lines never reach the session
 }
 
-TEST(ServeConnection, BackpressureBoundsTheInboundQueue) {
-  // A tiny queue and a storm of frames written before any reply is
-  // consumed: the reader must stall rather than buffer unboundedly,
-  // and every frame must still be answered in order.
+TEST(ServeConnection, FrameStormIsAnsweredInOrder) {
+  // A writer streams frames while replies are read: both pipes fill
+  // past their kernel buffers, so the writer stalls whenever the server
+  // is behind (the server reads only when it is ready to serve), and
+  // every frame is still answered, in order.
   Session session;
-  PipeServer server{session, /*queue_capacity=*/2};
-  server.send(R"({"type":"hello","v":3,"scheduler":"easy","procs":8})");
-  constexpr int kFrames = 200;
+  PipeServer server{session};
+  server.send(kHello);
+  constexpr int kFrames = 2000;
   std::thread writer{[&] {
     for (int i = 0; i < kFrames; ++i)
       server.send(R"({"type":"report"})");
   }};
   EXPECT_EQ(type_of(server.read_reply()), "welcome");
-  for (int i = 0; i < kFrames; ++i)
-    EXPECT_EQ(type_of(server.read_reply()), "report");
+  for (int i = 0; i < kFrames; ++i) {
+    const Json reply = parse_json(server.read_reply());
+    const Json* frames = reply.find("frames");
+    ASSERT_NE(frames, nullptr);
+    EXPECT_EQ(frames->as_int(), i + 2);  // the hello was frame 1
+  }
   writer.join();
   server.send(R"({"type":"bye"})");
   EXPECT_EQ(type_of(server.read_reply()), "bye");
   EXPECT_TRUE(server.finish().clean_bye);
+}
+
+TEST(ServeConnection, FrameWrittenOneByteAtATime) {
+  Session session;
+  PipeServer server{session};
+  for (const char byte : std::string(kHello) + "\n")
+    server.send_raw(std::string(1, byte));
+  EXPECT_EQ(type_of(server.read_reply()), "welcome");
+  for (const char byte : std::string(kFirstBatch) + "\n")
+    server.send_raw(std::string(1, byte));
+  const std::string decisions = server.read_reply();
+  EXPECT_EQ(type_of(decisions), "decisions");
+  EXPECT_NE(decisions.find("\"starts\":[0]"), std::string::npos);
+  const ServeResult result = server.finish();
+  EXPECT_FALSE(result.clean_bye);
+  EXPECT_EQ(result.lines, 2u);
+}
+
+TEST(ServeConnection, SeveralFramesInOneWrite) {
+  Session session;
+  PipeServer server{session};
+  server.send_raw(std::string(kHello) + "\n" + kFirstBatch + "\n" +
+                  R"({"type":"stats"})" + "\n");
+  EXPECT_EQ(type_of(server.read_reply()), "welcome");
+  EXPECT_EQ(type_of(server.read_reply()), "decisions");
+  EXPECT_EQ(type_of(server.read_reply()), "stats");
+  EXPECT_EQ(server.finish().lines, 3u);
+}
+
+TEST(ServeConnection, FinalUnterminatedLineIsServedAtEof) {
+  Session session;
+  PipeServer server{session};
+  server.send(kHello);
+  server.send_raw(R"({"type":"bye"})");  // no newline: EOF ends it
+  EXPECT_EQ(type_of(server.read_reply()), "welcome");
+  const ServeResult result = server.finish();
+  EXPECT_EQ(type_of(server.read_reply()), "bye");
+  EXPECT_TRUE(result.clean_bye);
+  EXPECT_EQ(result.lines, 2u);
+}
+
+TEST(ServeConnection, BytesAfterByeAreNotServed) {
+  Session session;
+  PipeServer server{session};
+  server.send_raw(std::string(kHello) + "\n" + R"({"type":"bye"})" + "\n" +
+                  kFirstBatch + "\n");
+  EXPECT_EQ(type_of(server.read_reply()), "welcome");
+  EXPECT_EQ(type_of(server.read_reply()), "bye");
+  const ServeResult result = server.finish();
+  EXPECT_TRUE(result.clean_bye);
+  EXPECT_EQ(result.lines, 2u);
+  EXPECT_EQ(server.read_reply(), "");  // nothing after the bye
+  EXPECT_EQ(session.last_seq(), 0u);   // the batch never reached it
+}
+
+// The two SIGPIPE tests run in a child process: a build that lets the
+// signal through fails them with a killed child instead of killing the
+// test binary.
+
+TEST(ServeConnection, PeerGoneBeforeTheReplyKeepsTheSession) {
+  EXPECT_EXIT(
+      {
+        bool ok = false;
+        {
+          int fds[2];
+          ok = ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0;
+          const std::string hello = std::string(kHello) + "\n";
+          ok = ok && ::write(fds[0], hello.data(), hello.size()) ==
+                         static_cast<ssize_t>(hello.size());
+          ::close(fds[0]);  // the client hangs up before the welcome
+          Session session;
+          const ServeResult result = serve_connection(fds[1], fds[1], session);
+          ::close(fds[1]);
+          // The hello was served and only its reply was lost; a client
+          // that reconnects finds the session live.
+          ok = ok && result.lines == 1 && !result.clean_bye &&
+               type_of(session.handle_line(kHello)) == "welcome" &&
+               type_of(session.handle_line(kFirstBatch)) == "decisions";
+        }
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+TEST(FdChannel, PeerGoneThrowsChannelError) {
+  EXPECT_EXIT(
+      {
+        bool ok = false;
+        {
+          int fds[2];
+          ok = ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0;
+          ::close(fds[1]);  // the daemon is gone
+          FdChannel channel(fds[0], fds[0]);
+          try {
+            (void)channel.roundtrip(kHello);
+            ok = false;
+          } catch (const ChannelError&) {
+          }
+          ::close(fds[0]);
+        }
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

@@ -14,7 +14,10 @@
 //
 // In socket mode the daemon serves connections sequentially (the
 // session outlives a dropped connection; a reconnecting client simply
-// re-sends `hello`) and exits after a clean `bye`.
+// re-sends `hello`) and exits after a clean `bye`. Each connection is
+// served on the main thread: the daemon reads the next frame only
+// after it has answered the last one.
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,11 +36,9 @@ namespace {
 void usage() {
   std::fprintf(stderr,
                "usage: bfsim_served (--socket PATH | --stdio) [--state PATH]\n"
-               "                    [--queue N]\n"
                "  --socket PATH  listen on a Unix-domain socket\n"
                "  --stdio        serve one session over stdin/stdout\n"
-               "  --state PATH   crash-safe event log (enables resume)\n"
-               "  --queue N      inbound frame-queue bound (default 64)\n");
+               "  --state PATH   crash-safe event log (enables resume)\n");
 }
 
 void print_report(const bfsim::svc::Session& session) {
@@ -56,7 +57,6 @@ int main(int argc, char** argv) {
   std::string socket_path;
   bool stdio = false;
   bfsim::svc::SessionOptions session_options;
-  bfsim::svc::ServeOptions serve_options;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> std::string {
@@ -72,10 +72,6 @@ int main(int argc, char** argv) {
       stdio = true;
     } else if (arg == "--state") {
       session_options.state_path = value();
-    } else if (arg == "--queue") {
-      serve_options.queue_capacity =
-          static_cast<std::size_t>(std::strtoull(value().c_str(), nullptr, 10));
-      if (serve_options.queue_capacity == 0) serve_options.queue_capacity = 1;
     } else {
       usage();
       return 2;
@@ -87,9 +83,15 @@ int main(int argc, char** argv) {
   }
 
   bfsim::svc::Session session{session_options};
+#if defined(__unix__) || defined(__APPLE__)
+  // Sockets are written without SIGPIPE (svc::FdWriter); this covers
+  // the --stdio pipes, so a reader that exits early ends the connection
+  // with a failed write.
+  std::signal(SIGPIPE, SIG_IGN);
+#endif
 
   if (stdio) {
-    bfsim::svc::serve_connection(0, 1, session, serve_options);
+    bfsim::svc::serve_connection(0, 1, session);
     print_report(session);
     return 0;
   }
@@ -127,8 +129,7 @@ int main(int argc, char** argv) {
       break;
     }
     const bfsim::svc::ServeResult result =
-        bfsim::svc::serve_connection(connection, connection, session,
-                                     serve_options);
+        bfsim::svc::serve_connection(connection, connection, session);
     ::close(connection);
     if (result.clean_bye) break;
   }
