@@ -17,9 +17,16 @@
 //     bench/perf_baseline.json; the auditor's overhead ratios and the
 //     served front's in-process overhead are banded the same way;
 //   * --audit-overhead [--jobs N]: audited / bare replay time of the
-//     profile-keeping schedulers (conservative, slack) and of plan, which
-//     gets the universal checks only, over three N-job CTC traces, one
-//     JSON line each -- the auditor's scaling with trace size.
+//     profile-keeping schedulers (conservative, slack, plan) over three
+//     N-job CTC traces, one JSON line each -- the auditor's scaling with
+//     trace size.
+//
+// Both report modes also count deterministic work on the report's trace
+// and on an actual-estimate twin: jobs plan re-anchored, promotion
+// checks selective made, and conservative's compression probes and
+// moves. --smoke fails when plan re-anchors more than one job per
+// submitted job on the exact-estimate FCFS trace (the stateless replan
+// re-anchored the whole queue at every pass).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -37,7 +44,9 @@
 #include "core/conservative_scheduler.hpp"
 #include "core/decision_core.hpp"
 #include "core/multi_profile.hpp"
+#include "core/plan_scheduler.hpp"
 #include "core/profile.hpp"
+#include "core/selective_scheduler.hpp"
 #include "core/simulation.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
@@ -162,11 +171,13 @@ void BM_MultiProfileFindAndReserveTwoAxis(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiProfileFindAndReserveTwoAxis);
 
-workload::Trace bench_trace(exp::TraceKind kind, std::size_t jobs) {
+workload::Trace bench_trace(exp::TraceKind kind, std::size_t jobs,
+                            exp::EstimateSpec estimates = {}) {
   exp::Scenario scenario;
   scenario.trace = kind;
   scenario.jobs = jobs;
   scenario.load = exp::kHighLoad;
+  scenario.estimates = estimates;
   scenario.seed = 7;
   return exp::build_workload(scenario);
 }
@@ -612,6 +623,44 @@ AuditOverhead measure_audit_overhead(
   return point;
 }
 
+/// Deterministic work counters of the schedulers that keep state
+/// between events, on one trace under FCFS. They repeat exactly on any
+/// machine, so they gate without a tolerance.
+struct WorkCounters {
+  std::string regime;                   ///< the trace's estimate regime
+  std::uint64_t jobs = 0;               ///< jobs submitted
+  std::uint64_t plan_reanchored = 0;    ///< PlanScheduler::reanchored()
+  std::uint64_t promotion_checks = 0;   ///< selective's exact checks
+  std::uint64_t compression_probes = 0; ///< conservative's probes
+  std::uint64_t compression_moves = 0;  ///< probes that moved a job
+
+  [[nodiscard]] double reanchored_per_job() const {
+    return jobs == 0 ? 0.0
+                     : static_cast<double>(plan_reanchored) /
+                           static_cast<double>(jobs);
+  }
+};
+
+WorkCounters measure_work(const workload::Trace& trace, int procs,
+                          const std::string& regime) {
+  const core::SchedulerConfig config{procs, core::PriorityPolicy::Fcfs};
+  WorkCounters work;
+  work.regime = regime;
+  work.jobs = trace.size();
+  core::PlanScheduler plan{config};
+  (void)core::run_simulation(trace, plan);
+  work.plan_reanchored = plan.reanchored();
+  core::SelectiveScheduler selective{config,
+                                     core::SchedulerExtras{}.xfactor_threshold};
+  (void)core::run_simulation(trace, selective);
+  work.promotion_checks = selective.promotion_checks();
+  core::ConservativeScheduler conservative{config};
+  (void)core::run_simulation(trace, conservative);
+  work.compression_probes = conservative.compression_probes();
+  work.compression_moves = conservative.compression_moves();
+  return work;
+}
+
 struct SweepPoint {
   std::size_t threads = 0;  ///< requested worker count
   double seconds = 0.0;
@@ -701,6 +750,8 @@ struct Report {
   DecisionLatencyStats decision;
   ServedCodecStats served;
   std::vector<AuditOverhead> audits;
+  /// Exact estimates (the report's trace) first, then actual estimates.
+  std::vector<WorkCounters> work;
   SweepStats sweep;
 };
 
@@ -737,10 +788,16 @@ Report build_report(std::size_t jobs) {
   report.breakpoints = measure_breakpoints(trace, procs);
   report.decision = measure_decision_latency(trace, procs);
   report.served = measure_served_codec(trace, procs);
-  // The two schedulers whose audits cross-check a profile every cycle.
+  // The schedulers whose audits cross-check a profile every cycle.
   for (const core::SchedulerKind kind :
-       {core::SchedulerKind::Conservative, core::SchedulerKind::Slack})
+       {core::SchedulerKind::Conservative, core::SchedulerKind::Slack,
+        core::SchedulerKind::Plan})
     report.audits.push_back(measure_audit_overhead({trace}, kind, procs));
+  report.work.push_back(measure_work(trace, procs, "exact"));
+  report.work.push_back(measure_work(
+      bench_trace(exp::TraceKind::Ctc, jobs,
+                  {.regime = exp::EstimateRegime::Actual}),
+      procs, "actual"));
   report.sweep = measure_sweep(jobs);
   return report;
 }
@@ -806,6 +863,15 @@ void write_json(const Report& report, const std::string& path) {
       << "  \"served_codec_overhead\": " << report.served.overhead << ",\n";
   for (const AuditOverhead& a : report.audits)
     out << "  \"audit_overhead_" << a.scheme << "\": " << a.ratio << ",\n";
+  for (const WorkCounters& w : report.work)
+    out << "  \"work_" << w.regime << "\": {\"jobs\": " << w.jobs
+        << ", \"plan_reanchored\": " << w.plan_reanchored
+        << ", \"promotion_checks\": " << w.promotion_checks
+        << ", \"compression_probes\": " << w.compression_probes
+        << ", \"compression_moves\": " << w.compression_moves << "},\n";
+  // Flat key for the smoke guard's single-number extractor.
+  out << "  \"plan_reanchored_per_job\": "
+      << report.work.front().reanchored_per_job() << ",\n";
   out << "  \"sweep\": {\"cells\": " << report.sweep.cells
       << ", \"deterministic\": "
       << (report.sweep.deterministic ? "true" : "false") << ", \"points\": [";
@@ -856,6 +922,16 @@ void print_report(const Report& report) {
                 "%llu checks)\n",
                 a.scheme.c_str(), a.ratio, a.audited_seconds, a.bare_seconds,
                 static_cast<unsigned long long>(a.checks));
+  for (const WorkCounters& w : report.work)
+    std::printf("work (%s estimates, %llu jobs): plan re-anchored %llu "
+                "(%.2f per job), selective promotion checks %llu, "
+                "conservative compression probes %llu, moves %llu\n",
+                w.regime.c_str(), static_cast<unsigned long long>(w.jobs),
+                static_cast<unsigned long long>(w.plan_reanchored),
+                w.reanchored_per_job(),
+                static_cast<unsigned long long>(w.promotion_checks),
+                static_cast<unsigned long long>(w.compression_probes),
+                static_cast<unsigned long long>(w.compression_moves));
   for (const SweepPoint& p : report.sweep.points)
     std::printf("sweep throughput (%zu cells, %zu threads): %6.1f cells/sec "
                 "(%.3fs, %.2fx)\n",
@@ -1032,6 +1108,20 @@ int run_smoke(const ReportOptions& options) {
     } else {
       std::printf("OK\n");
     }
+  }
+  // A work gate, exact on any machine: with exact estimates every finish
+  // is on time and FCFS arrivals sort last, so the kept plan anchors each
+  // newcomer once and nothing else. Replanning more means an event
+  // re-derived state it did not change.
+  const WorkCounters& exact = report.work.front();
+  std::printf("perf smoke: plan re-anchored %.3f jobs per submitted job "
+              "(%s estimates), limit 1 -- ",
+              exact.reanchored_per_job(), exact.regime.c_str());
+  if (exact.reanchored_per_job() > 1.0) {
+    std::printf("FAIL\n");
+    ok = false;
+  } else {
+    std::printf("OK\n");
   }
   // A correctness gate, not a throughput gate: parallel efficiency varies
   // with the CI machine, but the merged metrics must never depend on the

@@ -42,7 +42,7 @@ bool ConservativeScheduler::job_finished(JobId id, Time now) {
   // profile operation anchors at-or-after `now`, and the auditor only
   // checks the profile from `now` on.
   profile_.discard_before(now);
-  const RunningJob rj = commit_finish(id);
+  const RunningJob rj = commit_finish(id, now);
   // Return the unused tail of the job's estimated rectangle. On-time
   // completions (now == est_end) free nothing; compression keeps every
   // reservation at its earliest anchor (a fixpoint, see compress), so
@@ -75,7 +75,7 @@ bool ConservativeScheduler::job_killed(JobId id, Time now) {
   // guarantee from scratch anyway -- compressing around the victim's
   // tail here would be wasted work on a packing about to be discarded.
   profile_.discard_before(now);
-  const RunningJob rj = commit_finish(id);
+  const RunningJob rj = commit_finish(id, now);
   if (now < rj.est_end)
     profile_.release(now, rj.est_end, rj.job.procs, rj.job.bb);
   return false;  // node_down decides whether a pass is needed
@@ -158,7 +158,9 @@ void ConservativeScheduler::compress(Time now, Time hole_begin) {
       if (old_start <= hole_begin) continue;  // cannot move earlier
       const Time probe = profile_.earlier_anchor(job.procs, job.bb,
                                                  job.estimate, now, old_start);
+      ++compression_probes_;
       if (probe == sim::kNoTime) continue;  // already at its earliest anchor
+      ++compression_moves_;
       profile_.release(old_start, sim::saturating_add(old_start, job.estimate),
                        job.procs, job.bb);
       const Time anchor =
@@ -210,6 +212,11 @@ void ConservativeScheduler::select_starts(Time now, std::vector<Job>& out) {
     // by the running job until job_finished releases the unused tail.
     out.push_back(commit_start(id, now));
   }
+}
+
+void ConservativeScheduler::reseed_due() {
+  due_.clear();
+  for (const Job& job : queue_) due_.push(reservations_.at(job.id), job.id);
 }
 
 std::vector<AuditReservation> ConservativeScheduler::audit_reservations()

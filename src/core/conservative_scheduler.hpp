@@ -15,6 +15,8 @@
 // new holes ever appear and compression is a no-op.
 #pragma once
 
+#include <cstdint>
+
 #include "core/job_table.hpp"
 #include "core/multi_profile.hpp"
 #include "core/reservation_heap.hpp"
@@ -23,7 +25,9 @@
 namespace bfsim::core {
 
 /// Not final: SlackScheduler keeps this reservation machinery and
-/// overrides only arrival (displacement) and the outage re-base.
+/// overrides only arrival (displacement) and the outage re-base;
+/// PlanScheduler keeps the profile, the reservations, the due heap, the
+/// starts and the kill hook, and replaces the other event hooks.
 class ConservativeScheduler : public SchedulerBase {
  public:
   explicit ConservativeScheduler(SchedulerConfig config);
@@ -48,6 +52,15 @@ class ConservativeScheduler : public SchedulerBase {
   /// The availability profile (running jobs + all reservations).
   [[nodiscard]] const MultiProfile& profile() const { return profile_; }
 
+  /// Compression work so far (deterministic counters): read-only probes
+  /// of a queued job's earlier anchor, and probes that moved the job.
+  [[nodiscard]] std::uint64_t compression_probes() const {
+    return compression_probes_;
+  }
+  [[nodiscard]] std::uint64_t compression_moves() const {
+    return compression_moves_;
+  }
+
   // Auditor introspection: conservative holds a guarantee for every
   // queued job, never delays one, and keeps a persistent profile.
   [[nodiscard]] AuditHooks audit_hooks() const override {
@@ -68,7 +81,13 @@ class ConservativeScheduler : public SchedulerBase {
   /// neither the due check nor next_wakeup() scans the queue.
   ReservationHeap due_;
 
+  /// Clear due_ and push one entry per queued job: drops the stale
+  /// entries of reservations that moved wholesale.
+  void reseed_due();
+
  private:
+  std::uint64_t compression_probes_ = 0;
+  std::uint64_t compression_moves_ = 0;
   /// Pass-time working buffers, reused so select_starts never allocates
   /// in steady state.
   std::vector<JobId> due_scratch_;

@@ -24,8 +24,8 @@ bool EasyScheduler::job_submitted(const Job& job, Time now) {
   return fits_now(job) || queue_.front().id == job.id;
 }
 
-bool EasyScheduler::job_finished(JobId id, Time) {
-  const RunningJob rj = commit_finish(id);
+bool EasyScheduler::job_finished(JobId id, Time now) {
+  const RunningJob rj = commit_finish(id, now);
   const auto it = std::lower_bound(
       running_by_end_.begin(), running_by_end_.end(),
       RunningByEnd{rj.est_end, id, 0, 0},

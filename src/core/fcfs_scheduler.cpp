@@ -18,8 +18,8 @@ bool FcfsScheduler::job_submitted(const Job& job, Time now) {
   return queue_.front().id == job.id && fits_now(job);
 }
 
-bool FcfsScheduler::job_finished(JobId id, Time) {
-  commit_finish(id);
+bool FcfsScheduler::job_finished(JobId id, Time now) {
+  commit_finish(id, now);
   return !queue_.empty();
 }
 

@@ -60,13 +60,6 @@ class TimeByJob {
     }
   }
 
-  /// Visit every (id, time) entry in increasing id order.
-  template <typename F>
-  void for_each(F&& f) const {
-    for (JobId id = 0; id < times_.size(); ++id)
-      if (times_[id] != sim::kNoTime) f(id, times_[id]);
-  }
-
  private:
   std::vector<Time> times_;  ///< indexed by JobId; kNoTime = absent
   std::size_t count_ = 0;

@@ -3,13 +3,13 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/running_profile.hpp"
-
 namespace bfsim::core {
 
 KReservationScheduler::KReservationScheduler(SchedulerConfig config,
                                              int depth)
-    : SchedulerBase(config), depth_(depth) {
+    : SchedulerBase(config),
+      depth_(depth),
+      profile_(config.procs, config.burst_buffer) {
   if (depth < 0)
     throw std::invalid_argument("KReservationScheduler: depth must be >= 0");
 }
@@ -27,14 +27,17 @@ bool KReservationScheduler::job_submitted(const Job& job, Time now) {
   return fits_now(job);
 }
 
-bool KReservationScheduler::job_finished(JobId id, Time) {
-  commit_finish(id);
+bool KReservationScheduler::job_finished(JobId id, Time now) {
+  commit_finish(id, now);
   return !queue_.empty();
 }
 
 void KReservationScheduler::select_starts(Time now, std::vector<Job>& out) {
   ensure_sorted(now);
-  MultiProfile profile = profile_from_running_and_outages(now);
+  // Copy-assigned into the member, so steady-state passes reuse its
+  // storage instead of allocating a profile each.
+  profile_ = profile_from_running_and_outages(now);
+  MultiProfile& profile = profile_;
   // One pass in priority order. A job starts when it fits *now* without
   // disturbing the reservations placed so far; otherwise the first
   // `depth_` blocked jobs are granted reservations that later jobs must

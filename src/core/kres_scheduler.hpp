@@ -5,9 +5,11 @@
 // may backfill as long as it does not disturb those K guarantees.
 //   K = 0  -> pure no-guarantee backfilling (greedy first-fit by priority)
 //   K = 1  -> EASY / aggressive backfilling
-//   K = oo -> plan (kUnboundedReservationDepth): the list-scheduling
-//             replan of Kopanski & Rzadca (arXiv:2109.00082 /
-//             2111.10200), every queued job re-anchored in priority order
+//   K = oo -> the list-scheduling replan of Kopanski & Rzadca
+//             (arXiv:2109.00082 / 2111.10200), every queued job
+//             re-anchored in priority order at every pass. The plan
+//             scheduler (core/plan_scheduler.hpp) keeps that plan between
+//             events instead; this stateless form is its test oracle
 // Unlike conservative backfilling, which pins each guarantee at arrival
 // and only ever moves it earlier, the reservation set is recomputed from
 // the current priority order at every scheduling pass (repairs
@@ -23,7 +25,8 @@
 
 namespace bfsim::core {
 
-/// Reservation depth that protects every queued job: the plan scheduler.
+/// Reservation depth that protects every queued job: the stateless form
+/// of the plan scheduler.
 inline constexpr int kUnboundedReservationDepth =
     std::numeric_limits<int>::max();
 
@@ -41,8 +44,9 @@ class KReservationScheduler final : public SchedulerBase {
 
  private:
   int depth_;
-  /// Pass-time working buffer, reused so select_starts does not
-  /// allocate it per pass.
+  /// Pass-time working buffers, reused so select_starts does not
+  /// allocate them per pass: the pass's profile and its starts.
+  MultiProfile profile_;
   std::vector<JobId> start_scratch_;
 };
 

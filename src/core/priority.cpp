@@ -73,8 +73,8 @@ void sort_by_priority(Job* first, Job* last, PriorityPolicy policy, Time now) {
   std::stable_sort(first, last, PriorityOrder{policy, now});
 }
 
-void restore_xfactor_order(Job* first, Job* last, Time now,
-                           std::vector<double>& keys) {
+std::size_t restore_xfactor_order(Job* first, Job* last, Time now,
+                                  std::vector<double>& keys) {
   // The order on (xfactor desc, submit, id) is total, so any correct
   // sort yields stable_sort's permutation; comparing the same cached
   // doubles PriorityOrder would compute keeps the two bit-identical.
@@ -89,6 +89,8 @@ void restore_xfactor_order(Job* first, Job* last, Time now,
     if (a.submit != b.submit) return a.submit < b.submit;
     return a.id < b.id;
   };
+  // Slots below every insertion point never change.
+  std::size_t first_moved = n;
   for (std::size_t i = 1; i < n; ++i) {
     if (!precedes(keys[i], first[i], keys[i - 1], first[i - 1])) continue;
     const Job job = first[i];
@@ -101,7 +103,9 @@ void restore_xfactor_order(Job* first, Job* last, Time now,
     } while (j > 0 && precedes(key, job, keys[j - 1], first[j - 1]));
     first[j] = job;
     keys[j] = key;
+    first_moved = std::min(first_moved, j);
   }
+  return first_moved;
 }
 
 }  // namespace bfsim::core

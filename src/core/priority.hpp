@@ -65,8 +65,9 @@ void sort_by_priority(Job* first, Job* last, PriorityPolicy policy, Time now);
 /// an insertion pass over keys computed once per job into `keys`
 /// (caller-owned scratch, overwritten). Costs O(n) divisions plus one
 /// shift per out-of-order pair, so a queue left in order by the
-/// previous pass costs O(n + pairs whose order changed since).
-void restore_xfactor_order(Job* first, Job* last, Time now,
-                           std::vector<double>& keys);
+/// previous pass costs O(n + pairs whose order changed since). Returns
+/// the first index whose job changed, or last - first when none did.
+std::size_t restore_xfactor_order(Job* first, Job* last, Time now,
+                                  std::vector<double>& keys);
 
 }  // namespace bfsim::core

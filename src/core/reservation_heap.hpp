@@ -1,6 +1,6 @@
 // bfsim -- lazy-deletion min-heap over reservation start times.
 //
-// The reservation-holding schedulers (conservative, slack) used to scan
+// The reservation-holding schedulers (conservative, slack, plan) used to scan
 // their whole queue every cycle to find guarantees coming due. This heap
 // answers "what is the earliest guaranteed start?" in O(log n): an entry
 // is pushed whenever a reservation is assigned or moved, and entries
@@ -26,12 +26,8 @@ class ReservationHeap {
 
   void clear() { heap_ = {}; }
 
-  /// Re-seed from a full id -> start table (slack displacement
-  /// reassigns every reservation wholesale).
-  void rebuild(const TimeByJob& reservations) {
-    clear();
-    reservations.for_each([this](JobId id, Time start) { push(start, id); });
-  }
+  /// Entries held, stale ones included.
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
 
   /// Earliest start held by any job still present in `reservations`
   /// with a matching time, or sim::kNoTime when none. Prunes stale

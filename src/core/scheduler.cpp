@@ -7,7 +7,7 @@
 #include "core/easy_scheduler.hpp"
 #include "core/fcfs_scheduler.hpp"
 #include "core/kres_scheduler.hpp"
-#include "core/running_profile.hpp"
+#include "core/plan_scheduler.hpp"
 #include "core/selective_scheduler.hpp"
 #include "core/slack_scheduler.hpp"
 
@@ -51,7 +51,8 @@ bool SchedulerBase::node_down(const sim::Outage& outage, Time now) {
         return a.id < b.id;
       });
   outages_.insert(pos, outage);
-  (void)now;
+  if (running_profile_)
+    running_profile_->reserve(now, outage.repair_at, outage.procs, outage.bb);
   // Losing capacity cannot enable a start, but requeued victims arrive
   // right after this hook; let the queue state vouch for the pass.
   return !queue_.empty();
@@ -66,17 +67,27 @@ bool SchedulerBase::node_up(const sim::Outage& outage, Time now) {
   free_ += outage.procs;
   free_bb_ += outage.bb;
   outages_.erase(it);
+  // The outage rectangle of the running profile ends at repair_at == now.
   (void)now;
   return !queue_.empty();
 }
 
-MultiProfile SchedulerBase::profile_from_running_and_outages(Time now) const {
-  MultiProfile profile = profile_from_running(
-      config_.procs, config_.burst_buffer, now, running_);
-  for (const sim::Outage& outage : outages_)
-    if (outage.repair_at > now)
-      profile.reserve(now, outage.repair_at, outage.procs, outage.bb);
-  return profile;
+const MultiProfile& SchedulerBase::profile_from_running_and_outages(
+    Time now) const {
+  if (!running_profile_) {
+    // First use: every later start, finish and outage keeps it current.
+    // The running table's order is unspecified, which is fine: the
+    // profile is a sum of rectangles, and sums commute.
+    MultiProfile& profile =
+        running_profile_.emplace(config_.procs, config_.burst_buffer);
+    for (const RunningJob& rj : running_.jobs())
+      if (rj.est_end > now)
+        profile.reserve(now, rj.est_end, rj.job.procs, rj.job.bb);
+    for (const sim::Outage& outage : outages_)
+      if (outage.repair_at > now)
+        profile.reserve(now, outage.repair_at, outage.procs, outage.bb);
+  }
+  return *running_profile_;
 }
 
 bool SchedulerBase::job_cancelled(JobId id, Time) {
@@ -101,34 +112,48 @@ Job SchedulerBase::commit_start(JobId id, Time now) {
   // A hostile estimate near kTimeMax must clamp to "runs forever", not
   // wrap est_end into the past (which would corrupt every profile and
   // shadow computation built from the running set).
-  running_.insert(id,
-                  RunningJob{job, now, sim::saturating_add(now, job.estimate)});
+  const Time est_end = sim::saturating_add(now, job.estimate);
+  running_.insert(id, RunningJob{job, now, est_end});
+  if (running_profile_)
+    running_profile_->reserve(now, est_end, job.procs, job.bb);
   return job;
 }
 
-RunningJob SchedulerBase::commit_finish(JobId id) {
+RunningJob SchedulerBase::commit_finish(JobId id, Time now) {
   if (!running_.contains(id))
     throw std::logic_error("Scheduler: finish for a job that is not running");
   RunningJob rj = running_.take(id);
   free_ += rj.job.procs;
   free_bb_ += rj.job.bb;
+  if (running_profile_) {
+    // Drop the history before `now` so the profile stays as small as the
+    // running set, then hand back the unused tail of an early finish (an
+    // on-time one frees nothing from `now` on).
+    running_profile_->discard_before(now);
+    if (now < rj.est_end)
+      running_profile_->release(now, rj.est_end, rj.job.procs, rj.job.bb);
+  }
   return rj;
 }
 
 Job SchedulerBase::take_queued(JobId id) {
-  const std::size_t idx = queue_index(id);
-  if (idx == queue_.size())
+  return take_queued_at(queue_index(id));
+}
+
+Job SchedulerBase::take_queued_at(std::size_t idx) {
+  if (idx >= queue_.size())
     throw std::logic_error("Scheduler: cancelling a job that is not queued");
   const Job job = queue_[idx];
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
   return job;
 }
 
-void SchedulerBase::insert_queued(const Job& job, Time now) {
+std::size_t SchedulerBase::insert_queued(const Job& job, Time now) {
   if (time_varying_priority()) {
     queue_.push_back(job);
     id_sorted_ = false;  // reordered per pass; position tells us nothing
-    return;
+    sorted_at_ = sim::kNoTime;
+    return queue_.size() - 1;
   }
   // The priority order is total (ties broken by submit, id), so the
   // in-place position reproduces exactly what a stable sort would give.
@@ -154,13 +179,16 @@ void SchedulerBase::insert_queued(const Job& job, Time now) {
       ((idx > 0 && queue_[idx - 1].id > job.id) ||
        (idx + 1 < queue_.size() && queue_[idx + 1].id < job.id)))
     id_sorted_ = false;
+  return idx;
 }
 
-void SchedulerBase::ensure_sorted(Time now) {
+std::size_t SchedulerBase::ensure_sorted(Time now) {
   // Starts and cancels erase in place and arrivals append, so the queue
   // is still in the order the previous pass established.
-  if (time_varying_priority())
-    restore_xfactor_order(queue_.begin(), queue_.end(), now, xfactor_keys_);
+  if (!time_varying_priority() || sorted_at_ == now) return queue_.size();
+  sorted_at_ = now;
+  return restore_xfactor_order(queue_.begin(), queue_.end(), now,
+                               xfactor_keys_);
 }
 
 std::size_t SchedulerBase::queue_index(JobId id) const {
@@ -228,8 +256,7 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind,
     case SchedulerKind::Slack:
       return std::make_unique<SlackScheduler>(config, extras.slack_factor);
     case SchedulerKind::Plan:
-      return std::make_unique<KReservationScheduler>(
-          config, kUnboundedReservationDepth);
+      return std::make_unique<PlanScheduler>(config);
   }
   throw std::invalid_argument("make_scheduler: bad kind");
 }

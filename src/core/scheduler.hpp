@@ -7,6 +7,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -14,12 +15,11 @@
 #include "core/priority.hpp"
 #include "core/job_queue.hpp"
 #include "core/job_table.hpp"
+#include "core/multi_profile.hpp"
 #include "core/types.hpp"
 #include "sim/failure.hpp"
 
 namespace bfsim::core {
-
-class MultiProfile;
 
 /// Configuration shared by all schedulers.
 struct SchedulerConfig {
@@ -32,7 +32,7 @@ struct SchedulerConfig {
 
 /// What a scheduler exposes to the ScheduleAuditor (core/audit.hpp).
 /// Defaults to "nothing": policy-free schedulers (FCFS) and the
-/// rebuild-per-cycle ones (kres, selective) still get the universal
+/// rebuild-per-pass ones (kres, selective) still get the universal
 /// checks (capacity, start-after-submit, ...) from the driver events.
 struct AuditHooks {
   /// audit_profile() returns the live availability profile; the auditor
@@ -210,6 +210,10 @@ class SchedulerBase : public Scheduler {
   std::vector<sim::Outage> outages_;
   /// ensure_sorted's per-pass XFactor keys, reused across passes.
   std::vector<double> xfactor_keys_;
+  /// The instant ensure_sorted last left queue_ in XFactor order, or
+  /// kNoTime once an append may have broken it. Starts and cancels erase
+  /// in place, so a second call at the same instant has nothing to do.
+  Time sorted_at_ = sim::kNoTime;
 
   /// True when the configured priority order can change with the clock
   /// (XFactor), so the queue cannot be kept sorted incrementally.
@@ -219,14 +223,15 @@ class SchedulerBase : public Scheduler {
 
   /// Add an arrival to queue_: in priority position under static
   /// policies (the order is total, so the position is unique), appended
-  /// under XFactor.
-  void insert_queued(const Job& job, Time now);
+  /// under XFactor. Returns the index it was placed at.
+  std::size_t insert_queued(const Job& job, Time now);
 
   /// Establish priority order at time `now`: a no-op for static
   /// policies (insert_queued maintains it), an insertion repair of the
   /// previous pass's order for XFactor (restore_xfactor_order). Call
-  /// before walking queue_ in priority order.
-  void ensure_sorted(Time now);
+  /// before walking queue_ in priority order. Returns the first index
+  /// whose job changed, queue_.size() when none did.
+  std::size_t ensure_sorted(Time now);
 
   /// True when `job` fits into the momentarily free capacity on every
   /// axis (processors and burst buffer).
@@ -239,24 +244,42 @@ class SchedulerBase : public Scheduler {
   /// under-capacity on either axis.
   Job commit_start(JobId id, Time now);
 
-  /// Remove a finished job from running_ and return processors. Throws
-  /// std::logic_error if the id is not running.
-  RunningJob commit_finish(JobId id);
+  /// Remove a job that finished (or was killed) at `now` from running_
+  /// and return its capacity, including the unused tail of its estimated
+  /// rectangle in the running profile. Throws std::logic_error if the id
+  /// is not running.
+  RunningJob commit_finish(JobId id, Time now);
 
   /// Remove a queued job (one scan) and return it, so reservation
   /// holders can release the job's rectangle without re-searching.
   /// Throws std::logic_error if the id is not queued.
   Job take_queued(JobId id);
+  /// take_queued for a known position; idx == queue_.size() throws the
+  /// same "not queued" error, so callers can pass queue_index() as is.
+  Job take_queued_at(std::size_t idx);
 
   /// Index of `id` within queue_, or queue_.size() if absent.
   [[nodiscard]] std::size_t queue_index(JobId id) const;
 
-  /// profile_from_running plus one reserved rectangle
-  /// [now, repair_at) x (procs, bb) per active outage: the availability
-  /// timeline of the *healthy* part of the machine. Rebuild-per-pass
-  /// schedulers (kres, plan included, and selective) call this instead
-  /// of profile_from_running so their guarantees respect downtime.
-  [[nodiscard]] MultiProfile profile_from_running_and_outages(Time now) const;
+  /// The availability timeline of the running jobs and active outages:
+  /// each running job occupies [now, est_end) and each outage
+  /// [now, repair_at), on both axes. Schedulers that plan from scratch
+  /// (kres, selective, slack's displacement trial, plan's full replans)
+  /// start from a copy of it, so their guarantees respect downtime.
+  /// Equal from `now` on to a rebuild from running_ and outages_;
+  /// earlier instants are unspecified. `now` must not decrease between
+  /// calls, and the reference is valid until the next start, finish or
+  /// outage.
+  [[nodiscard]] const MultiProfile& profile_from_running_and_outages(
+      Time now) const;
+
+ private:
+  /// The live running profile: built from running_ and outages_ on the
+  /// first profile_from_running_and_outages() call, then kept current
+  /// by commit_start, commit_finish and node_down. Schedulers that never
+  /// ask for it (nobackfill, EASY, conservative) never build it and pay
+  /// one branch per start and finish.
+  mutable std::optional<MultiProfile> running_profile_;
 };
 
 /// The scheduling strategies available from the factory.
@@ -267,7 +290,7 @@ enum class SchedulerKind : int {
   KReservation = 3,  ///< Maui-style reservation depth K     [extension]
   Selective = 4,     ///< reservation once slowdown > threshold (paper §6)
   Slack = 5,         ///< slack-bounded displacement (Talby-Feitelson) [ext]
-  Plan = 6,          ///< KReservation at unbounded depth (Kopanski-Rzadca)
+  Plan = 6,          ///< every queued job replanned (Kopanski-Rzadca)
 };
 
 [[nodiscard]] std::string to_string(SchedulerKind kind);

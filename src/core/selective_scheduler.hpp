@@ -14,9 +14,16 @@
 // the worst-case turnaround blow-up without conservative's backfill
 // lockout. (Developed fully in Srinivasan et al., "Selective Reservation
 // Strategies for Backfill Job Scheduling", JSSPP 2002.)
+//
+// Promotion is clock-driven, but no event scans the queue for it: a job
+// cannot reach the promotion bar before its expansion factor reaches the
+// floor threshold, so each queued job waits in a min-heap keyed by a
+// lower bound of that crossing instant, and only jobs whose bound has
+// passed are checked exactly (see promote_due).
 #pragma once
 
-#include <unordered_set>
+#include <cstdint>
+#include <vector>
 
 #include "core/scheduler.hpp"
 
@@ -52,8 +59,12 @@ class SelectiveScheduler final : public SchedulerBase {
 
   [[nodiscard]] double threshold() const { return threshold_; }
   [[nodiscard]] Mode mode() const { return mode_; }
-  [[nodiscard]] std::size_t promoted_count() const {
-    return promoted_.size();
+  /// Queued jobs holding a guarantee.
+  [[nodiscard]] std::size_t promoted_count() const { return promoted_; }
+  /// Exact expansion-factor comparisons made so far (a deterministic
+  /// work counter).
+  [[nodiscard]] std::uint64_t promotion_checks() const {
+    return promotion_checks_;
   }
 
   /// The threshold in force right now (equals threshold() in fixed mode;
@@ -61,20 +72,63 @@ class SelectiveScheduler final : public SchedulerBase {
   [[nodiscard]] double effective_threshold() const;
 
  private:
+  /// Where a job id stands in the promotion pipeline.
+  enum class Stage : std::uint8_t {
+    Absent,    ///< not queued (never submitted, running, done, cancelled)
+    Waiting,   ///< queued, its floor crossing still ahead (in crossings_)
+    Pending,   ///< queued, past the crossing bound, below the bar
+    Promoted,  ///< queued, holding a guarantee
+  };
+  /// Per-id promotion state. `generation` counts the job's submissions,
+  /// so heap and pending entries left behind by an earlier submission of
+  /// a requeued job are told apart from current ones.
+  struct Slot {
+    std::uint32_t generation = 0;
+    Stage stage = Stage::Absent;
+  };
+  /// A queued job awaiting its exact promotion check from `at` on.
+  struct Crossing {
+    Time at;  ///< lower bound of the instant xfactor reaches threshold_
+    std::uint32_t generation;
+    Job job;
+  };
+
   double threshold_;
   Mode mode_;
-  std::unordered_set<JobId> promoted_;  ///< queued jobs holding guarantees
+  std::vector<Slot> slots_;  ///< indexed by JobId
+  std::size_t promoted_ = 0;
+  std::uint64_t promotion_checks_ = 0;
+  /// Min-heap on `at` of Waiting jobs, with stale entries of started,
+  /// cancelled and re-submitted ones dropped lazily (and purged once
+  /// they outnumber the queue).
+  std::vector<Crossing> crossings_;
+  /// Jobs popped from crossings_ whose exact check has not passed yet.
+  std::vector<Crossing> pending_;
 
   /// Promote every queued job whose expansion factor has crossed the
   /// bar (sticky). Called from each event hook -- promotion depends on
   /// the clock, so it must be evaluated at every event time, pass or
   /// not. Returns true when a newly promoted job could start now.
   bool promote_due(Time now);
+  /// Enter a submitted job into the pipeline.
+  void track(const Job& job);
+  /// Take a starting or cancelled job out of it; returns whether it
+  /// held a guarantee.
+  bool untrack(JobId id);
+  [[nodiscard]] bool is_promoted(JobId id) const {
+    return id < slots_.size() && slots_[id].stage == Stage::Promoted;
+  }
+  /// The entry is its job's current submission, at `stage`.
+  [[nodiscard]] bool current(const Crossing& c, Stage stage) const {
+    const Slot& slot = slots_[c.job.id];
+    return slot.stage == stage && slot.generation == c.generation;
+  }
   // Adaptive mode: running mean of completed jobs' bounded slowdown.
   double completed_slowdown_sum_ = 0.0;
   std::size_t completed_jobs_ = 0;
-  /// Pass-time working buffer, reused so select_starts does not
-  /// allocate it per pass.
+  /// Pass-time working buffers, reused so select_starts does not
+  /// allocate them per pass: the pass's profile and its starts.
+  MultiProfile profile_;
   std::vector<JobId> start_scratch_;
 };
 

@@ -10,7 +10,9 @@
 namespace bfsim::core {
 
 SlackScheduler::SlackScheduler(SchedulerConfig config, double slack_factor)
-    : ConservativeScheduler(config), slack_factor_(slack_factor) {
+    : ConservativeScheduler(config),
+      slack_factor_(slack_factor),
+      trial_(config.procs, config.burst_buffer) {
   if (!(slack_factor >= 0.0))
     throw std::invalid_argument("SlackScheduler: slack_factor must be >= 0");
 }
@@ -52,38 +54,42 @@ bool SlackScheduler::try_displace(const Job& job, Time now) {
   // re-anchors around it in earliest-deadline-first order. EDF places
   // the tightest guarantees first, which maximizes the chance that all
   // of them survive.
-  MultiProfile trial = profile_from_running_and_outages(now);
+  trial_ = profile_from_running_and_outages(now);
   const Time newcomer_end = sim::saturating_add(now, job.estimate);
-  if (!trial.fits(job.procs, job.bb, now, newcomer_end)) return false;
-  trial.reserve(now, newcomer_end, job.procs, job.bb);
+  if (!trial_.fits(job.procs, job.bb, now, newcomer_end)) return false;
+  trial_.reserve(now, newcomer_end, job.procs, job.bb);
 
-  std::vector<const Job*> order;
-  order.reserve(queue_.size());
-  for (const Job& queued : queue_) order.push_back(&queued);
-  std::sort(order.begin(), order.end(), [this](const Job* a, const Job* b) {
+  edf_.clear();
+  for (const Job& queued : queue_) edf_.push_back(&queued);
+  std::sort(edf_.begin(), edf_.end(), [this](const Job* a, const Job* b) {
     const Time da = deadlines_.at(a->id);
     const Time db = deadlines_.at(b->id);
     if (da != db) return da < db;
     return a->id < b->id;
   });
 
-  TimeByJob new_starts;
-  for (const Job* queued : order) {
+  // The trial anchors, parallel to edf_: sized by the queue, not by the
+  // largest job id seen.
+  trial_anchors_.clear();
+  for (const Job* queued : edf_) {
     // Fused search + reserve; the trial is discarded wholesale on
     // failure, so reserving before the deadline check is harmless.
     const Time anchor =
-        trial.find_and_reserve(queued->procs, queued->bb, queued->estimate,
-                               now);
+        trial_.find_and_reserve(queued->procs, queued->bb, queued->estimate,
+                                now);
     if (anchor > deadlines_.at(queued->id)) return false;  // slack exhausted
-    new_starts.set(queued->id, anchor);
+    trial_anchors_.push_back(anchor);
   }
 
-  // Feasible: commit the trial plan.
-  profile_ = std::move(trial);
-  reservations_ = std::move(new_starts);
+  // Feasible: commit the trial plan (the old profile becomes the next
+  // attempt's scratch). Every queued job was re-anchored, so the due
+  // heap is re-seeded rather than topped up.
+  std::swap(profile_, trial_);
+  for (std::size_t i = 0; i < edf_.size(); ++i)
+    reservations_.set(edf_[i]->id, trial_anchors_[i]);
   reservations_.set(job.id, now);
-  due_.rebuild(reservations_);
-  insert_queued(job, now);
+  insert_queued(job, now);  // invalidates edf_
+  reseed_due();
   ++displacements_;
   return true;
 }

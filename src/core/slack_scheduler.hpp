@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "core/conservative_scheduler.hpp"
 
@@ -70,6 +71,11 @@ class SlackScheduler final : public ConservativeScheduler {
   /// of started and cancelled jobs are simply left behind.
   TimeByJob deadlines_;
   std::uint64_t displacements_ = 0;
+  /// try_displace's working storage, reused across attempts: the trial
+  /// profile, the queue in EDF order and each job's trial anchor.
+  MultiProfile trial_;
+  std::vector<const Job*> edf_;
+  std::vector<Time> trial_anchors_;
 
   /// The job's displacement budget: slack_factor x estimate, rounded.
   [[nodiscard]] Time slack_of(const Job& job) const;

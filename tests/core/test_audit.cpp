@@ -482,9 +482,9 @@ TEST(Audit, CheckCountsMatchTheGoldenRuns) {
   const GoldenAuditRun runs[] = {
       {"conservative", SchedulerKind::Conservative, false, 461694},
       {"slack", SchedulerKind::Slack, false, 382284},
-      // Plan is kres at unbounded depth: no persistent profile or
-      // reservations to cross-check, only the universal checks.
-      {"plan", SchedulerKind::Plan, false, 2700},
+      // Plan keeps its plan between events, so its profile and planned
+      // starts are cross-checked every cycle like conservative's.
+      {"plan", SchedulerKind::Plan, false, 410490},
       {"easy", SchedulerKind::Easy, false, 3280},
       {"conservative-bb-outages", SchedulerKind::Conservative, true, 513043},
       {"easy-bb-outages", SchedulerKind::Easy, true, 3526},

@@ -1,16 +1,22 @@
-// The plan-based scheduler (Kopanski & Rzadca): the whole queue is
-// re-anchored in priority order at every pass, so guarantees float to
-// the current best packing instead of being pinned forever like
-// conservative backfilling's. SchedulerKind::Plan builds
-// KReservationScheduler at unbounded reservation depth. These tests pin
+// The plan-based scheduler (Kopanski & Rzadca): every queued job holds
+// the start the greedy list schedule of the whole queue gives it, so
+// guarantees float to the current best packing instead of being pinned
+// forever like conservative backfilling's. SchedulerKind::Plan builds
+// PlanScheduler, which keeps the plan between events. These tests pin
 // the schedule-level semantics that make it distinct -- early finishes
 // pull starts earlier, arrivals may push them later, joint-axis packing
-// -- and then run it through the full simulator with the auditor fatal.
+// -- run it through the full simulator with the auditor fatal, and hold
+// the kept plan to the stateless per-pass replan it must equal.
 #include <gtest/gtest.h>
 
 #include "core/kres_scheduler.hpp"
+#include "core/plan_scheduler.hpp"
 #include "core/simulation.hpp"
+#include "exp/scenario.hpp"
+#include "sim/failure.hpp"
+#include "sim/rng.hpp"
 #include "test_support.hpp"
+#include "workload/transforms.hpp"
 
 namespace bfsim::core {
 namespace {
@@ -149,16 +155,141 @@ TEST(PlanScheduler, RegisteredWithTheFactoryAndKindStrings) {
   EXPECT_EQ(scheduler->name(), "plan-sjf");
 }
 
-TEST(PlanScheduler, IsKReservationAtUnboundedDepth) {
-  // The reservation depth is fixed: SchedulerExtras' depth knob belongs
-  // to the kreservation kind and does not reach plan.
-  const auto scheduler =
-      make_scheduler(SchedulerKind::Plan, SchedulerConfig{8},
-                     {.reservation_depth = 2});
-  const auto* kres =
-      dynamic_cast<const KReservationScheduler*>(scheduler.get());
-  ASSERT_NE(kres, nullptr);
-  EXPECT_EQ(kres->depth(), kUnboundedReservationDepth);
+/// Every observable of a replay, except the pass accounting: the kept
+/// plan runs its passes only when a planned start comes due.
+void expect_same_schedule(const SimulationResult& kept,
+                          const SimulationResult& stateless) {
+  ASSERT_EQ(kept.outcomes.size(), stateless.outcomes.size());
+  for (std::size_t i = 0; i < kept.outcomes.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    const JobOutcome& a = kept.outcomes[i];
+    const JobOutcome& b = stateless.outcomes[i];
+    EXPECT_EQ(a.job, b.job);
+    EXPECT_EQ(a.start, b.start);
+    EXPECT_EQ(a.end, b.end);
+    EXPECT_EQ(a.killed, b.killed);
+    EXPECT_EQ(a.cancelled, b.cancelled);
+    EXPECT_EQ(a.requeues, b.requeues);
+    EXPECT_EQ(a.first_start, b.first_start);
+    EXPECT_EQ(a.requeue_wait, b.requeue_wait);
+  }
+  EXPECT_EQ(kept.makespan, stateless.makespan);
+  EXPECT_EQ(kept.events, stateless.events);
+  EXPECT_EQ(kept.max_queue, stateless.max_queue);
+  EXPECT_EQ(kept.outages, stateless.outages);
+  EXPECT_EQ(kept.repairs, stateless.repairs);
+  EXPECT_EQ(kept.kills, stateless.kills);
+  EXPECT_EQ(kept.scheduler_name, stateless.scheduler_name);
+}
+
+TEST(PlanScheduler, KeptPlanEqualsTheStatelessReplan) {
+  // The kept plan against its definition: KReservationScheduler at
+  // unbounded depth re-anchors the whole queue at every pass. Inexact
+  // estimates drive early-finish replans, SJF and XFactor mid-queue
+  // arrivals and order repairs, cancels mid-queue replans, and outages
+  // kill running jobs whose requeued runs re-enter mid-queue (they keep
+  // their submit time) -- with burst buffers on the contended cells.
+  constexpr int kBurstBuffer = 64;
+  const exp::EstimateSpec regimes[] = {
+      {.regime = exp::EstimateRegime::Exact},
+      {.regime = exp::EstimateRegime::Systematic, .factor = 2.0},
+      {.regime = exp::EstimateRegime::Actual},
+  };
+  std::uint64_t kills = 0;
+  std::uint64_t cancels = 0;
+  for (const std::uint64_t seed : {1u, 2u}) {
+    for (const exp::EstimateSpec& estimates : regimes) {
+      exp::Scenario scenario;
+      scenario.trace = exp::TraceKind::Sdsc;
+      scenario.jobs = 250;
+      scenario.estimates = estimates;
+      scenario.seed = seed;
+      const Trace base = exp::build_workload(scenario);
+      const int procs = scenario.procs();
+      for (const bool contended : {false, true}) {
+        Trace trace = base;
+        sim::FailureTrace failures;
+        SchedulerConfig config{procs};
+        if (contended) {
+          sim::Rng rng{seed * 977 + 13};
+          workload::apply_cancellations(trace, 0.15, /*patience=*/2.0, rng);
+          assign_random_bb(trace, 24, seed ^ 0x5bd1);
+          config.burst_buffer = kBurstBuffer;
+          failures = sim::generate_failures(
+              {.mean_uptime = 6.0 * sim::kHour,
+               .mean_repair = 1.0 * sim::kHour,
+               .max_procs_lost = procs / 4,
+               .max_bb_lost = 16},
+              procs, kBurstBuffer, seed * 31 + 7);
+        }
+        for (const PriorityPolicy priority : kPaperPolicies) {
+          SCOPED_TRACE(to_string(priority) + " " + estimates.label() +
+                       " seed=" + std::to_string(seed) +
+                       (contended ? " contended" : ""));
+          config.priority = priority;
+          const SimulationOptions options{
+              .validate = true, .audit = true, .failures = &failures};
+          const auto kept = make_plan(config);
+          KReservationScheduler stateless{config, kUnboundedReservationDepth};
+          const SimulationResult a = run_simulation(trace, *kept, options);
+          const SimulationResult b = run_simulation(trace, stateless, options);
+          expect_same_schedule(a, b);
+          kills += a.kills;
+          for (const JobOutcome& outcome : a.outcomes)
+            cancels += outcome.cancelled ? 1 : 0;
+        }
+      }
+    }
+  }
+  // The grid must reach the paths it exists for.
+  EXPECT_GT(kills, 0u);
+  EXPECT_GT(cancels, 0u);
+}
+
+TEST(PlanScheduler, RepairAloneReplansAReorderedXFactorQueue) {
+  // A repair that is the only event at its instant frees nothing the
+  // plan did not know about, but under XFactor the order has moved on
+  // since the last event: the narrow job B overtook the wide job A at
+  // t=50, so at the repair B fits into the returned capacity, which A's
+  // planned start blocked under the old order. The stateless replan
+  // starts B at the repair; so must the kept plan.
+  const SchedulerConfig config{4, PriorityPolicy::XFactor};
+  sim::Outage outage;
+  outage.id = 0;
+  outage.down_at = 0;
+  outage.repair_at = 100;
+  outage.procs = 2;
+  const Job running = make_job(0, 0, 150, 2);
+  const Job wide = make_job(1, 0, 100, 4);
+  const Job narrow = make_job(2, 10, 80, 2);
+  PlanScheduler kept{config};
+  KReservationScheduler stateless{config, kUnboundedReservationDepth};
+  for (Scheduler* scheduler : {static_cast<Scheduler*>(&kept),
+                               static_cast<Scheduler*>(&stateless)}) {
+    SCOPED_TRACE(scheduler->name());
+    (void)scheduler->node_down(outage, 0);
+    (void)scheduler->job_submitted(running, 0);
+    (void)scheduler->job_submitted(wide, 0);
+    ASSERT_EQ(scheduler->select_starts(0).size(), 1u);  // `running`
+    (void)scheduler->job_submitted(narrow, 10);
+    EXPECT_TRUE(scheduler->node_up(outage, 100));
+    const auto starts = scheduler->select_starts(100);
+    ASSERT_EQ(starts.size(), 1u);
+    EXPECT_EQ(starts[0].id, narrow.id);
+  }
+  EXPECT_EQ(kept.reservation_of(wide.id), 180);
+}
+
+TEST(PlanScheduler, ExactFcfsReplansOnlyTheNewcomer) {
+  // Exact estimates mean on-time finishes only, and FCFS arrivals sort
+  // last: each submit anchors the newcomer and nothing else.
+  exp::Scenario scenario;
+  scenario.trace = exp::TraceKind::Ctc;
+  scenario.jobs = 500;
+  const Trace trace = exp::build_workload(scenario);
+  PlanScheduler plan{SchedulerConfig{scenario.procs(), PriorityPolicy::Fcfs}};
+  (void)run_simulation(trace, plan);
+  EXPECT_EQ(plan.reanchored(), trace.size());
 }
 
 TEST(PlanScheduler, RejectsNegativeBurstBufferCapacity) {
