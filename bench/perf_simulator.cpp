@@ -26,7 +26,10 @@
 // checks selective made, and conservative's compression probes and
 // moves. --smoke fails when plan re-anchors more than one job per
 // submitted job on the exact-estimate FCFS trace (the stateless replan
-// re-anchored the whole queue at every pass).
+// re-anchored the whole queue at every pass), and when an audited
+// replay of conservative, slack or plan rebuilds the auditor's kept
+// timeline more often than the baseline's `audit_reseeds` records (0;
+// ScheduleAuditor::reseeds()).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -582,6 +585,9 @@ struct AuditOverhead {
   /// ratio. The smoke guard bands it.
   double ratio = 1.0;
   std::uint64_t checks = 0;  ///< ScheduleAuditor::checks(), summed
+  /// ScheduleAuditor::reseeds(), summed: full rebuilds of the kept
+  /// timeline, deterministic on any machine.
+  std::uint64_t reseeds = 0;
 };
 
 /// The auditor's overhead on one scheduler over `traces`: per trace, the
@@ -598,6 +604,7 @@ AuditOverhead measure_audit_overhead(
     double bare_best = std::numeric_limits<double>::infinity();
     double audited_best = std::numeric_limits<double>::infinity();
     std::uint64_t checks = 0;
+    std::uint64_t reseeds = 0;
     const auto begin = Clock::now();
     for (int rep = 0; rep < 50; ++rep) {
       const double elapsed = seconds_since(begin);
@@ -614,10 +621,12 @@ AuditOverhead measure_audit_overhead(
               .makespan);
       audited_best = std::min(audited_best, seconds_since(start));
       checks = auditor.checks();
+      reseeds = auditor.reseeds();
     }
     point.bare_seconds += bare_best;
     point.audited_seconds += audited_best;
     point.checks += checks;
+    point.reseeds += reseeds;
   }
   point.ratio = point.audited_seconds / point.bare_seconds;
   return point;
@@ -802,6 +811,14 @@ Report build_report(std::size_t jobs) {
   return report;
 }
 
+/// The most full timeline rebuilds any audited scheduler's replay took.
+std::uint64_t max_reseeds(const Report& report) {
+  std::uint64_t most = 0;
+  for (const AuditOverhead& a : report.audits)
+    most = std::max(most, a.reseeds);
+  return most;
+}
+
 /// EASY-normalized relative cost of one measured scheduler (1.0 = as
 /// fast as EASY; higher = slower). Hardware speed cancels out.
 double cost_factor(const Report& report, const SimPoint& point) {
@@ -863,6 +880,9 @@ void write_json(const Report& report, const std::string& path) {
       << "  \"served_codec_overhead\": " << report.served.overhead << ",\n";
   for (const AuditOverhead& a : report.audits)
     out << "  \"audit_overhead_" << a.scheme << "\": " << a.ratio << ",\n";
+  // The most re-seeds any audited scheduler needed: the re-seed gate's
+  // limit when this file is the smoke's baseline.
+  out << "  \"audit_reseeds\": " << max_reseeds(report) << ",\n";
   for (const WorkCounters& w : report.work)
     out << "  \"work_" << w.regime << "\": {\"jobs\": " << w.jobs
         << ", \"plan_reanchored\": " << w.plan_reanchored
@@ -919,9 +939,10 @@ void print_report(const Report& report) {
               report.served.direct_seconds);
   for (const AuditOverhead& a : report.audits)
     std::printf("audit overhead %s: %.2fx bare replay (%.4fs vs %.4fs, "
-                "%llu checks)\n",
+                "%llu checks, %llu re-seeds)\n",
                 a.scheme.c_str(), a.ratio, a.audited_seconds, a.bare_seconds,
-                static_cast<unsigned long long>(a.checks));
+                static_cast<unsigned long long>(a.checks),
+                static_cast<unsigned long long>(a.reseeds));
   for (const WorkCounters& w : report.work)
     std::printf("work (%s estimates, %llu jobs): plan re-anchored %llu "
                 "(%.2f per job), selective promotion checks %llu, "
@@ -1123,6 +1144,27 @@ int run_smoke(const ReportOptions& options) {
   } else {
     std::printf("OK\n");
   }
+  // A work gate, exact on any machine: the auditor keeps its expected
+  // timeline between cycles and rebuilds it only when something unusual
+  // happened. A clean replay of a correct scheduler needs no rebuild, so
+  // the recorded count is 0 (also the limit without a baseline); any
+  // more means the kept timeline went stale and the audit is paying
+  // full rebuilds again.
+  double recorded_reseeds = 0.0;
+  (void)read_json_number(options.baseline, "audit_reseeds", recorded_reseeds);
+  const auto reseed_limit = static_cast<std::uint64_t>(recorded_reseeds);
+  for (const AuditOverhead& a : report.audits) {
+    std::printf("perf smoke: audit of %s re-seeded its timeline %llu "
+                "times, limit %llu -- ",
+                a.scheme.c_str(), static_cast<unsigned long long>(a.reseeds),
+                static_cast<unsigned long long>(reseed_limit));
+    if (a.reseeds > reseed_limit) {
+      std::printf("FAIL\n");
+      ok = false;
+    } else {
+      std::printf("OK\n");
+    }
+  }
   // A correctness gate, not a throughput gate: parallel efficiency varies
   // with the CI machine, but the merged metrics must never depend on the
   // worker count.
@@ -1154,10 +1196,11 @@ int run_audit_overhead(const ReportOptions& options) {
     const AuditOverhead a = measure_audit_overhead(traces, kind, procs);
     std::printf("{\"jobs\": %zu, \"traces\": %llu, \"scheme\": \"%s\", "
                 "\"bare_s\": %.6g, \"audited_s\": %.6g, \"ratio\": %.4g, "
-                "\"checks\": %llu}\n",
+                "\"checks\": %llu, \"reseeds\": %llu}\n",
                 options.jobs, static_cast<unsigned long long>(kTraces),
                 a.scheme.c_str(), a.bare_seconds, a.audited_seconds, a.ratio,
-                static_cast<unsigned long long>(a.checks));
+                static_cast<unsigned long long>(a.checks),
+                static_cast<unsigned long long>(a.reseeds));
     std::fflush(stdout);
   }
   return 0;

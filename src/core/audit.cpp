@@ -34,7 +34,9 @@ ScheduleAuditor::ScheduleAuditor(const Scheduler& scheduler,
       options_(options),
       hooks_(scheduler.audit_hooks()),
       total_procs_(scheduler.config().procs),
-      total_bb_(scheduler.config().burst_buffer) {}
+      total_bb_(scheduler.config().burst_buffer) {
+  if (hooks_.profile) timeline_.emplace(total_procs_, total_bb_);
+}
 
 void ScheduleAuditor::record(AuditViolation violation) {
   violations_.push_back(std::move(violation));
@@ -52,16 +54,46 @@ void ScheduleAuditor::expire_baselines(JobRecord& rec) {
 
 void ScheduleAuditor::add_running(JobId id, const JobRecord& rec) {
   if (!hooks_.profile) return;  // only the profile check reads the index
-  const RunningJob job{sim::saturating_add(rec.start, rec.estimate), id,
-                       rec.procs, rec.bb};
-  running_.insert(std::lower_bound(running_.begin(), running_.end(), job),
-                  job);
+  const Time end = sim::saturating_add(rec.start, rec.estimate);
+  running_.push_back({end, id, rec.procs, rec.bb});
+  // Placed at the cycle end, after every release of this batch: a
+  // scheduler may start a job into room that a reservation it moves in
+  // the same pass leaves only then.
+  pending_.push_back({rec.start, end, rec.procs, rec.bb});
 }
 
-void ScheduleAuditor::drop_running(JobId id, const JobRecord& rec) {
+void ScheduleAuditor::drop_running(JobId id, const JobRecord& rec,
+                                   Time now) {
   if (!hooks_.profile) return;
-  const RunningJob key{sim::saturating_add(rec.start, rec.estimate), id, 0, 0};
-  running_.erase(std::lower_bound(running_.begin(), running_.end(), key));
+  const auto it =
+      std::find_if(running_.begin(), running_.end(),
+                   [id](const RunningJob& job) { return job.id == id; });
+  *it = running_.back();
+  running_.pop_back();
+  release_rect({rec.start, sim::saturating_add(rec.start, rec.estimate),
+                rec.procs, rec.bb},
+               now);
+}
+
+void ScheduleAuditor::drop_held(JobRecord& rec, Time now) {
+  if (!hooks_.profile || rec.held_cycle < seeded_cycle_) return;
+  rec.held_cycle = 0;
+  --holders_;
+  release_rect(rec.held, now);
+}
+
+void ScheduleAuditor::release_rect(const Rect& rect, Time now) {
+  // While the timeline is trusted, every rectangle a record holds is in
+  // it over [max(start, now), end) -- placements never begin before the
+  // cycle that places them -- so the release cannot overflow.
+  if (!timeline_ok_) return;
+  const Time begin = std::max(rect.start, now);
+  if (rect.end <= begin) return;
+  try {
+    timeline_->release(begin, rect.end, rect.procs, rect.bb);
+  } catch (const std::logic_error&) {
+    timeline_ok_ = false;  // e.g. a negative `now`: leave it to the rebuild
+  }
 }
 
 void ScheduleAuditor::on_submitted(const Job& job, Time now) {
@@ -75,7 +107,8 @@ void ScheduleAuditor::on_submitted(const Job& job, Time now) {
   const auto [it, inserted] = jobs_.try_emplace(job.id, rec);
   if (inserted) return;
   // A resubmitted id replaces its record wholesale, running or not.
-  if (it->second.running) drop_running(job.id, it->second);
+  if (it->second.running) drop_running(job.id, it->second, now);
+  drop_held(it->second, now);
   it->second = rec;
 }
 
@@ -92,6 +125,7 @@ void ScheduleAuditor::on_cancelled(JobId id, Time now) {
     return;
   }
   it->second.cancelled = true;
+  drop_held(it->second, now);
   if (id == pinned_head_) {
     pinned_head_ = workload::kInvalidJob;
     pinned_start_ = sim::kNoTime;
@@ -183,6 +217,7 @@ void ScheduleAuditor::on_started(const Job& job, Time now) {
     pinned_head_ = workload::kInvalidJob;
     pinned_start_ = sim::kNoTime;
   }
+  drop_held(rec, now);
   rec.start = now;
   rec.running = true;
   add_running(job.id, rec);
@@ -218,7 +253,7 @@ void ScheduleAuditor::on_finished(JobId id, Time now) {
             .actual = now,
             .detail = "job ran past its wall-clock limit (estimate not "
                       "enforced)"});
-  drop_running(id, rec);
+  drop_running(id, rec, now);
   rec.running = false;
   rec.finished = true;
   busy_ -= rec.procs;
@@ -239,7 +274,7 @@ void ScheduleAuditor::on_killed(JobId id, Time now) {
   // from its start onward. The voided run stops counting as a start, so
   // the job may start again after its requeue.
   JobRecord& rec = it->second;
-  drop_running(id, rec);
+  drop_running(id, rec, now);
   rec.running = false;
   rec.start = sim::kNoTime;
   rec.first_reservation = sim::kNoTime;
@@ -284,6 +319,11 @@ void ScheduleAuditor::on_node_down(const sim::Outage& outage, Time now) {
   down_ += outage.procs;
   down_bb_ += outage.bb;
   active_outages_.push_back(outage);
+  // Downtime occupies capacity exactly like a running job, until its
+  // repair; it joins the timeline with this batch's starts. Its
+  // rectangle ends at the repair instant, so on_node_up frees nothing.
+  if (hooks_.profile)
+    pending_.push_back({now, outage.repair_at, outage.procs, outage.bb});
   // Force majeure: the degraded machine may make every pre-outage
   // guarantee physically impossible, so the monotone baselines restart
   // from the post-outage reservations (DESIGN.md section 15). A new
@@ -314,14 +354,50 @@ void ScheduleAuditor::on_node_up(const sim::Outage& outage, Time now) {
   active_outages_.erase(it);
 }
 
+void ScheduleAuditor::hold_reservation(JobRecord& rec,
+                                       const AuditReservation& res,
+                                       Time now) {
+  if (rec.held_cycle == cycle_ || res.procs < 0 || res.bb < 0) {
+    // A duplicate id or a negative demand: no one rectangle per record
+    // stands for it, so the rebuild decides.
+    timeline_ok_ = false;
+    return;
+  }
+  ++reported_;
+  const Rect rect{res.start, sim::saturating_add(res.start, res.estimate),
+                  res.procs, res.bb};
+  if (rec.held_cycle >= seeded_cycle_) {
+    rec.held_cycle = cycle_;
+    if (rec.held == rect) return;  // the common case: nothing moved
+    release_rect(rec.held, now);
+  } else {
+    rec.held_cycle = cycle_;
+    ++holders_;
+  }
+  rec.held = rect;
+  pending_.push_back(rect);
+}
+
 void ScheduleAuditor::check_reservations(
     Time now, const std::vector<AuditReservation>& reported) {
-  if (hooks_.reservations) {
+  // One lookup per reported reservation serves both the reservation
+  // checks and the kept timeline's diff.
+  const bool keep = hooks_.profile && timeline_ok_;
+  if (hooks_.reservations || keep) {
     for (const AuditReservation& res : reported) {
       const auto it = jobs_.find(res.id);
+      const bool queued = it != jobs_.end() &&
+                          it->second.start == sim::kNoTime &&
+                          !it->second.cancelled;
+      if (keep) {
+        if (queued)
+          hold_reservation(it->second, res, now);
+        else
+          timeline_ok_ = false;  // a rectangle no queued job holds
+      }
+      if (!hooks_.reservations) continue;
       ++checks_;
-      if (it == jobs_.end() || it->second.start != sim::kNoTime ||
-          it->second.cancelled) {
+      if (!queued) {
         record({.invariant = "reservation-unknown-job",
                 .when = now,
                 .job = res.id,
@@ -386,6 +462,7 @@ void ScheduleAuditor::check_reservations(
 
 void ScheduleAuditor::check_profile(
     Time now, const std::vector<AuditReservation>& reported) {
+  const bool kept = place_pending(now);
   const MultiProfile* actual = scheduler_->audit_profile();
   if (actual == nullptr) return;
   ++checks_;
@@ -408,31 +485,64 @@ void ScheduleAuditor::check_profile(
                       "scheduler configuration"});
     return;
   }
-  // Rectangles that cannot coexist (and a negative `now`, which the
-  // sweep's origin segment cannot express) take the reserve() path: its
-  // diagnostics are the reference ones.
-  if (now < 0 || !build_expected(now, reported)) {
-    check_profile_by_reserve(now, reported, *actual);
-    return;
+  // The kept timeline answers the common case. Everything else --
+  // including any divergence, whose diagnostic must name the same
+  // instant a point-by-point audit would -- takes the reserve() path:
+  // its diagnostics and check counts are the reference ones.
+  if (kept && now >= 0 && timeline_matches(now, *actual)) return;
+  check_profile_by_reserve(now, reported, *actual);
+}
+
+bool ScheduleAuditor::place_pending(Time now) {
+  // Every queued job the timeline holds a rectangle for must have been
+  // in this report: each reported one was diffed, so equal counts mean
+  // no holder went unreported (a job the scheduler dropped from its
+  // report while it still waits).
+  if (reported_ != holders_) timeline_ok_ = false;
+  reported_ = 0;
+  if (timeline_ok_) {
+    // Releases already ran; placing only now keeps each intermediate
+    // timeline at least as free as the final one, which a consistent
+    // scheduler keeps non-negative.
+    try {
+      timeline_->discard_before(now);
+      for (const Rect& rect : pending_) {
+        const Time begin = std::max(rect.start, now);
+        if (rect.end > begin)
+          timeline_->reserve(begin, rect.end, rect.procs, rect.bb);
+      }
+    } catch (const std::logic_error&) {
+      timeline_ok_ = false;  // the rectangles cannot coexist
+    }
   }
+  pending_.clear();
+  return timeline_ok_;
+}
+
+bool ScheduleAuditor::timeline_matches(Time now, const MultiProfile& actual) {
   // Two piecewise-constant timelines are equal on [now, inf) iff they
   // agree at `now` and at every breakpoint >= now of either: walk both
   // breakpoint lists in step from the segments containing `now`.
-  const std::vector<MultiProfile::Segment>& want = expected_;
-  const std::vector<MultiProfile::Segment>& got = actual->segments();
-  std::size_t i = segment_index(want, now);
-  std::size_t j = segment_index(got, now);
-  // The ordered scan visits `now` and every breakpoint >= now of each.
-  const std::size_t visits = 1 + (want.size() - i) + (got.size() - j) -
-                             (want[i].begin < now ? 1 : 0) -
-                             (got[j].begin < now ? 1 : 0);
+  const std::vector<MultiProfile::Segment>& want = timeline_->segments();
+  const std::vector<MultiProfile::Segment>& got = actual.segments();
+  const std::size_t want_now = segment_index(want, now);
+  const std::size_t got_now = segment_index(got, now);
+  // Visits of the ordered scan: `now`, then every breakpoint >= now of
+  // each timeline. A rebuilt timeline starts from a fully free origin
+  // segment, so it has a breakpoint at `now` exactly when now == 0 or
+  // something is held there; the kept one may instead still carry the
+  // segment that began before `now`. Count the rebuilt form's, so that
+  // checks() stays that of the point-by-point audit.
+  const bool want_at_now = now == 0 || want[want_now].procs != total_procs_ ||
+                           want[want_now].bb != total_bb_;
+  const std::size_t visits = 1 + (want.size() - want_now - 1) +
+                             (want_at_now ? 1 : 0) + (got.size() - got_now) -
+                             (got[got_now].begin < now ? 1 : 0);
+  std::size_t i = want_now;
+  std::size_t j = got_now;
   for (;;) {
-    if (want[i].procs != got[j].procs || want[i].bb != got[j].bb) {
-      // Rare (a violation): rerun the ordered scan so the diagnostic and
-      // the check count are exactly those of a point-by-point audit.
-      scan_for_divergence(now, want, *actual);
-      return;
-    }
+    if (want[i].procs != got[j].procs || want[i].bb != got[j].bb)
+      return false;
     const bool more_want = i + 1 < want.size();
     const bool more_got = j + 1 < got.size();
     if (!more_want && !more_got) break;
@@ -444,83 +554,9 @@ void ScheduleAuditor::check_profile(
     }
   }
   // Agreement: the ordered scan would have made both axis checks at
-  // every visited instant.
+  // every instant it visits.
   checks_ += 2 * static_cast<std::uint64_t>(visits);
-}
-
-bool ScheduleAuditor::build_expected(
-    Time now, const std::vector<AuditReservation>& reported) {
-  // The expected occupancy from first principles: every running job
-  // occupies [now, start + estimate), every reported reservation
-  // [max(start, now), start + estimate) and every active outage
-  // [now, repair_at). Past times are irrelevant (the scheduler may keep
-  // stale history there); equality is required for all t >= now. The
-  // end sums saturate exactly like the schedulers' own (commit_start,
-  // profile windows): a reservation anchored behind a near-kTimeMax
-  // estimate would otherwise wrap negative and silently vanish.
-  //
-  // With every demand non-negative, free capacity only falls as
-  // rectangles are added: reserve() would throw on some rectangle iff a
-  // demand is negative or the summed timeline goes negative somewhere.
-  bool negative_demand = false;
-  deltas_.clear();
-  const auto add = [this, &negative_demand](Time begin, Time end, int procs,
-                                            int bb) {
-    if (end <= begin) return;
-    if (procs < 0 || bb < 0) {
-      negative_demand = true;
-      return;
-    }
-    deltas_.push_back({begin, procs, bb});
-    deltas_.push_back({end, -procs, -bb});
-  };
-  for (const AuditReservation& res : reported)
-    add(std::max(res.start, now), sim::saturating_add(res.start, res.estimate),
-        res.procs, res.bb);
-  // Downtime occupies capacity exactly like a running job: every
-  // profile-keeping scheduler reserves [down_at, repair_at) for each
-  // outage, so the independent rebuild must too.
-  for (const sim::Outage& outage : active_outages_)
-    add(now, outage.repair_at, outage.procs, outage.bb);
-  // Running rectangles all begin at `now`; their ends are already sorted.
-  auto run = std::partition_point(
-      running_.begin(), running_.end(),
-      [now](const RunningJob& job) { return job.end <= now; });
-  std::int64_t procs = 0;  // demand at the sweep instant
-  std::int64_t bb = 0;
-  for (auto it = run; it != running_.end(); ++it) {
-    negative_demand = negative_demand || it->procs < 0 || it->bb < 0;
-    procs += it->procs;
-    bb += it->bb;
-  }
-  if (negative_demand) return false;
-  std::sort(deltas_.begin(), deltas_.end(),
-            [](const Delta& a, const Delta& b) { return a.at < b.at; });
-  expected_.assign(1, MultiProfile::Segment{0, total_procs_, total_bb_});
-  auto delta = deltas_.cbegin();
-  for (Time t = now;;) {
-    for (; delta != deltas_.cend() && delta->at == t; ++delta) {
-      procs += delta->procs;
-      bb += delta->bb;
-    }
-    for (; run != running_.end() && run->end == t; ++run) {
-      procs -= run->procs;
-      bb -= run->bb;
-    }
-    if (procs > total_procs_ || bb > total_bb_) return false;
-    const int free_procs = total_procs_ - static_cast<int>(procs);
-    const int free_bb = total_bb_ - static_cast<int>(bb);
-    MultiProfile::Segment& last = expected_.back();
-    if (last.begin == t) {  // t == 0: the origin segment itself
-      last.procs = free_procs;
-      last.bb = free_bb;
-    } else if (last.procs != free_procs || last.bb != free_bb) {
-      expected_.push_back({t, free_procs, free_bb});
-    }
-    if (delta == deltas_.cend() && run == running_.end()) return true;
-    t = std::min(delta == deltas_.cend() ? sim::kTimeMax : delta->at,
-                 run == running_.end() ? sim::kTimeMax : run->end);
-  }
+  return true;
 }
 
 void ScheduleAuditor::check_profile_by_reserve(
@@ -534,6 +570,7 @@ void ScheduleAuditor::check_profile_by_reserve(
               return a.id < b.id;
             });
   MultiProfile expected{total_procs_, total_bb_};
+  timeline_ok_ = false;  // until reseed() adopts the rebuild
   try {
     for (const RunningJob& job : by_id)
       if (job.end > now) expected.reserve(now, job.end, job.procs, job.bb);
@@ -555,7 +592,31 @@ void ScheduleAuditor::check_profile_by_reserve(
                       error.what()});
     return;
   }
-  scan_for_divergence(now, expected.segments(), actual);
+  reseed(std::move(expected), reported);
+  scan_for_divergence(now, timeline_->segments(), actual);
+}
+
+void ScheduleAuditor::reseed(MultiProfile&& rebuilt,
+                             const std::vector<AuditReservation>& reported) {
+  ++reseeds_;
+  *timeline_ = std::move(rebuilt);
+  // A fresh cycle number voids every older hold at once; the running
+  // and outage rectangles need no holder records.
+  seeded_cycle_ = ++cycle_;
+  holders_ = 0;
+  for (const AuditReservation& res : reported) {
+    const auto it = jobs_.find(res.id);
+    if (it == jobs_.end() || it->second.start != sim::kNoTime ||
+        it->second.cancelled || it->second.held_cycle == cycle_ ||
+        res.procs < 0 || res.bb < 0)
+      return;  // no queued job to hold this rectangle: rebuild next cycle
+    JobRecord& rec = it->second;
+    rec.held = {res.start, sim::saturating_add(res.start, res.estimate),
+                res.procs, res.bb};
+    rec.held_cycle = cycle_;
+    ++holders_;
+  }
+  timeline_ok_ = true;
 }
 
 void ScheduleAuditor::scan_for_divergence(
@@ -604,8 +665,8 @@ void ScheduleAuditor::on_cycle_end(Time now) {
   // One fetch per cycle: both checks read the same reservations.
   const std::vector<AuditReservation> reported =
       scheduler_->audit_reservations();
-  if (hooks_.reservations || hooks_.head_guarantee)
-    check_reservations(now, reported);
+  if (hooks_.profile) ++cycle_;
+  check_reservations(now, reported);
   if (hooks_.profile) check_profile(now, reported);
 }
 

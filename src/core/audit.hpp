@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -72,10 +73,17 @@ struct AuditOptions {
 /// on_started per job the scheduler launched, then on_cycle_end after
 /// each same-time batch has been fully scheduled.
 ///
-/// Cost: each event is O(1) expected, plus O(running) to keep the
-/// running-job index sorted under the profile hook; each on_cycle_end is
-/// O(running + reserved log reserved + profile breakpoints) -- bounded by
-/// live state, never by how many jobs the run has seen.
+/// Cost: under the profile hook the auditor keeps its expected timeline
+/// between cycles (DESIGN.md section 6). A finish, kill, cancel or
+/// resubmit releases the job's rectangle from it at once, in
+/// O(breakpoints); a start or node-down queues its rectangle until the
+/// cycle end. Each on_cycle_end then looks up every reported
+/// reservation once (as the reservation checks always did), moves only
+/// the rectangles whose report changed, and compares the timeline with
+/// the scheduler's profile in one O(breakpoints) walk. Anything unusual
+/// falls back to rebuilding the timeline rectangle by rectangle, which
+/// also re-seeds the kept one. Every cost is bounded by live state,
+/// never by how many jobs the run has seen.
 class ScheduleAuditor {
  public:
   explicit ScheduleAuditor(const Scheduler& scheduler,
@@ -112,8 +120,28 @@ class ScheduleAuditor {
   /// Total number of individual invariant checks performed (diagnostics:
   /// an auditor that checked nothing proves nothing).
   [[nodiscard]] std::uint64_t checks() const { return checks_; }
+  /// Full rebuilds of the kept timeline so far (deterministic work
+  /// counter): a clean run of a correct scheduler needs none.
+  [[nodiscard]] std::uint64_t reseeds() const { return reseeds_; }
+  /// The kept expected timeline, read-only for tests; nullptr unless the
+  /// scheduler declares the profile hook. Right after on_cycle_end(now)
+  /// it equals, for t >= now, the running, reported and outage
+  /// rectangles reserved into a fresh MultiProfile.
+  [[nodiscard]] const MultiProfile* timeline() const {
+    return timeline_ ? &*timeline_ : nullptr;
+  }
 
  private:
+  /// A rectangle of the expected timeline: `procs` processors and `bb`
+  /// GB over [start, end), clipped at each cycle's `now`.
+  struct Rect {
+    Time start;
+    Time end;  ///< start + estimate, saturating
+    int procs;
+    int bb;
+    friend bool operator==(const Rect&, const Rect&) = default;
+  };
+
   /// Everything the auditor knows about one job, built from events only.
   struct JobRecord {
     Time submit = sim::kNoTime;
@@ -126,6 +154,12 @@ class ScheduleAuditor {
     Time first_reservation = sim::kNoTime;
     Time last_reservation = sim::kNoTime;
     std::uint64_t outage_epoch = 0;
+    /// The reservation rectangle this queued job holds in the kept
+    /// timeline. It is held iff held_cycle >= seeded_cycle_: a re-seed
+    /// voids every older hold at once, without visiting the records.
+    Rect held{};
+    /// The cycle whose report last placed or confirmed `held` (0: none).
+    std::uint64_t held_cycle = 0;
     bool running = false;
     bool finished = false;
     bool cancelled = false;
@@ -137,39 +171,49 @@ class ScheduleAuditor {
     JobId id;
     int procs;
     int bb;
-    /// Sweep order: by end, ties by id.
-    friend bool operator<(const RunningJob& a, const RunningJob& b) {
-      return a.end != b.end ? a.end < b.end : a.id < b.id;
-    }
-  };
-
-  /// One demand change of the expected timeline: +demand where a
-  /// rectangle begins, -demand where it ends.
-  struct Delta {
-    Time at;
-    int procs;
-    int bb;
   };
 
   void record(AuditViolation violation);
   /// Void the record's baselines if an outage registered since they were
   /// set (force majeure, see on_node_down). Call before reading them.
   void expire_baselines(JobRecord& rec);
+  /// Index a job that starts running; its rectangle waits in pending_.
   void add_running(JobId id, const JobRecord& rec);
-  void drop_running(JobId id, const JobRecord& rec);
+  /// Unindex a running job that stops and release its rectangle.
+  void drop_running(JobId id, const JobRecord& rec, Time now);
+  /// Release the reservation rectangle `rec` holds, if it holds one.
+  void drop_held(JobRecord& rec, Time now);
+  /// Release the part of `rect` at or after `now` from the kept timeline.
+  void release_rect(const Rect& rect, Time now);
+  /// Diff one reported reservation of a queued job against the rectangle
+  /// its record holds: a new or moved one waits in pending_ (a moved
+  /// one released first); a duplicate id or a negative demand leaves the
+  /// timeline to the rebuild.
+  void hold_reservation(JobRecord& rec, const AuditReservation& res,
+                        Time now);
   void check_reservations(Time now,
                           const std::vector<AuditReservation>& reported);
   void check_profile(Time now, const std::vector<AuditReservation>& reported);
-  /// Sweep running + reserved + outage rectangles into expected_, in
-  /// MultiProfile's canonical coalesced form. False exactly when
-  /// MultiProfile::reserve would throw on those rectangles.
-  bool build_expected(Time now, const std::vector<AuditReservation>& reported);
+  /// Bring the kept timeline to `now`: drop its past and place the
+  /// pending rectangles. False when it cannot stand for the expected
+  /// timeline (an unreported holder, an overflow, an earlier fallback).
+  bool place_pending(Time now);
+  /// Compare the kept timeline with `actual` on [now, inf) and count the
+  /// checks a point-by-point audit makes on agreement. False on any
+  /// divergence; then nothing is counted.
+  bool timeline_matches(Time now, const MultiProfile& actual);
   /// The profile cross-check the slow way: one MultiProfile::reserve per
   /// rectangle -- running jobs by id, then reservations as reported, then
-  /// outages -- so an overflow names the rectangle that trips first.
+  /// outages -- so an overflow names the rectangle that trips first. The
+  /// rebuilt timeline re-seeds the kept one.
   void check_profile_by_reserve(Time now,
                                 const std::vector<AuditReservation>& reported,
                                 const MultiProfile& actual);
+  /// Adopt `rebuilt` as the kept timeline and make exactly the reported
+  /// jobs its reservation holders; leaves the timeline for the next
+  /// rebuild when some reported rectangle has no queued job to hold it.
+  void reseed(MultiProfile&& rebuilt,
+              const std::vector<AuditReservation>& reported);
   /// The ordered scan: `now`, then every expected breakpoint >= now, then
   /// every actual one; records the first divergence found.
   void scan_for_divergence(
@@ -188,12 +232,23 @@ class ScheduleAuditor {
   std::vector<sim::Outage> active_outages_;  ///< few at a time; linear scan
   std::uint64_t outage_epoch_ = 0;  ///< node-down events so far
   std::unordered_map<JobId, JobRecord> jobs_;
-  /// Jobs whose record is running, sorted by (end, id): the running
-  /// rectangles' end breakpoints arrive already in sweep order. Kept only
-  /// under the profile hook, its sole reader.
+  /// Jobs whose record is running, in no particular order. Kept only
+  /// under the profile hook, for the rebuild.
   std::vector<RunningJob> running_;
-  std::vector<Delta> deltas_;                      ///< per-cycle scratch
-  std::vector<MultiProfile::Segment> expected_;   ///< per-cycle scratch
+  /// The expected timeline kept between cycles (profile hook only): the
+  /// running, held reservation and active outage rectangles. Exact on
+  /// [now, inf) after each cycle end while timeline_ok_.
+  std::optional<MultiProfile> timeline_;
+  /// False once the kept timeline may differ from the expected one: the
+  /// next cycle end rebuilds it instead of trusting it.
+  bool timeline_ok_ = true;
+  std::vector<Rect> pending_;  ///< placed at the cycle end, in order
+  /// Stamp of the current cycle; a re-seed takes a fresh one.
+  std::uint64_t cycle_ = 1;
+  std::uint64_t seeded_cycle_ = 1;  ///< holds stamped before it are void
+  std::size_t holders_ = 0;   ///< queued records holding a rectangle
+  std::size_t reported_ = 0;  ///< of them, diffed in this cycle's report
+  std::uint64_t reseeds_ = 0;
   /// EASY: the head job currently holding the single pinned reservation.
   JobId pinned_head_ = workload::kInvalidJob;
   Time pinned_start_ = sim::kNoTime;

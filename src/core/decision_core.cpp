@@ -12,6 +12,27 @@ namespace {
 
 std::string id_str(JobId id) { return std::to_string(id); }
 
+/// Whether `deadline` has passed at `now`: it lies before `now`, or at
+/// `now` as well when the cycle closes there (end_cycle commits starts
+/// at `now`, and the schedulers free a job's processors at its estimated
+/// end and an outage's capacity at its repair instant).
+bool passed(Time deadline, Time now, bool closing) {
+  return closing ? deadline <= now : deadline < now;
+}
+
+/// The run whose estimated end has passed at `now` (the earliest, the
+/// smallest id on ties), or nullptr.
+const RunningJob* overdue_run(const std::vector<RunningJob>& runs, Time now,
+                              bool closing) {
+  const RunningJob* late = nullptr;
+  for (const RunningJob& run : runs)
+    if (passed(run.est_end, now, closing) &&
+        (late == nullptr || run.est_end < late->est_end ||
+         (run.est_end == late->est_end && run.job.id < late->job.id)))
+      late = &run;
+  return late;
+}
+
 }  // namespace
 
 DecisionCore::DecisionCore(Scheduler& scheduler, ScheduleAuditor* auditor,
@@ -22,12 +43,58 @@ void DecisionCore::reserve_jobs(std::size_t count) {
   phases_.reserve(std::min<std::size_t>(count, kMaxTrackedJobs));
 }
 
-void DecisionCore::check_time(Time now, const char* hook) {
+void DecisionCore::check_time(Time now, const char* hook, bool closing) {
   if (now < last_time_)
     throw DecisionError(std::string("DecisionCore::") + hook +
                         ": time ran backwards (" + std::to_string(now) +
                         " after " + std::to_string(last_time_) + ")");
+  if (passed(due_, now, closing)) check_deadlines(now, hook, closing);
   last_time_ = now;
+}
+
+void DecisionCore::check_deadlines(Time now, const char* hook,
+                                   bool closing) {
+  Time due = sim::kTimeMax;
+  for (const RunningJob& run : running_jobs_.jobs())
+    due = std::min(due, run.est_end);
+  for (const sim::Outage& outage : active_outages_)
+    due = std::min(due, outage.repair_at);
+  due_ = due;
+  if (!passed(due, now, closing)) return;
+  // A finish or repair that did not come by its instant: the schedulers
+  // already plan that job's processors (or the outage's capacity) as
+  // free while the machine still counts them lost, so the next start
+  // would overrun it. The instant is refused before anything moves.
+  const std::string at = std::string(closing ? " by" : " before") +
+                         " t=" + std::to_string(now);
+  if (const RunningJob* late = overdue_run(running_jobs_.jobs(), now, closing))
+    throw DecisionError(std::string("DecisionCore::") + hook + ": job " +
+                        id_str(late->job.id) + " reached its estimated end t=" +
+                        std::to_string(late->est_end) + at +
+                        " without a finish");
+  const sim::Outage* outage = overdue_outage(now, closing);
+  throw DecisionError(std::string("DecisionCore::") + hook + ": outage " +
+                      std::to_string(outage->id) +
+                      " reached its repair instant t=" +
+                      std::to_string(outage->repair_at) + at +
+                      " without its repair");
+}
+
+JobId DecisionCore::overdue_job(Time now, bool closing) const {
+  if (!passed(due_, now, closing)) return workload::kInvalidJob;
+  const RunningJob* late = overdue_run(running_jobs_.jobs(), now, closing);
+  return late != nullptr ? late->job.id : workload::kInvalidJob;
+}
+
+const sim::Outage* DecisionCore::overdue_outage(Time now,
+                                                bool closing) const {
+  if (!passed(due_, now, closing)) return nullptr;
+  const sim::Outage* late = nullptr;
+  for (const sim::Outage& outage : active_outages_)
+    if (passed(outage.repair_at, now, closing) &&
+        (late == nullptr || outage.repair_at < late->repair_at))
+      late = &outage;
+  return late;
 }
 
 JobPhase DecisionCore::phase_or_grow(JobId id) {
@@ -209,6 +276,7 @@ void DecisionCore::on_node_down(const sim::Outage& outage, Time now) {
     outage_phases_.resize(outage.id + 1, 0);
   outage_phases_[outage.id] = 1;
   active_outages_.push_back(outage);
+  due_ = std::min(due_, outage.repair_at);
   down_procs_ += outage.procs;
   down_bb_ += outage.bb;
   ++stats_.outages;
@@ -250,7 +318,7 @@ void DecisionCore::on_node_up(sim::OutageId id, Time now) {
 }
 
 CycleDecision DecisionCore::end_cycle(Time now) {
-  check_time(now, "end_cycle");
+  check_time(now, "end_cycle", /*closing=*/true);
   if (killed_consumed_) {
     // The previous cycle's killed span was handed out and this batch
     // produced no fresh kills (on_node_down would have dropped it).
@@ -278,9 +346,9 @@ CycleDecision DecisionCore::end_cycle(Time now) {
         throw std::logic_error("DecisionCore: job " + id_str(started.id) +
                                " started twice");
       phases_[started.id] = JobPhase::kRunning;
-      running_jobs_.insert(
-          started.id,
-          RunningJob{started, now, sim::saturating_add(now, started.estimate)});
+      const Time end = sim::saturating_add(now, started.estimate);
+      running_jobs_.insert(started.id, RunningJob{started, now, end});
+      due_ = std::min(due_, end);
       start_ids_.push_back(started.id);
     }
   };

@@ -117,7 +117,12 @@ struct CycleDecision {
 ///    delivers each one's completion via on_finish.
 ///
 /// A contract violation throws DecisionError before any scheduler
-/// mutation, so the core stays consistent and serviceable.
+/// mutation, so the core stays consistent and serviceable. That
+/// includes a clock that passes a deadline -- a running job's estimated
+/// end, an active outage's repair instant -- before its finish or repair
+/// arrives: every event after the deadline, and an end_cycle at it, is
+/// rejected, because the schedulers plan as if that capacity were free
+/// from the deadline on.
 class DecisionCore {
  public:
   /// `auditor`, when given, observes every event before the scheduler
@@ -220,9 +225,34 @@ class DecisionCore {
   [[nodiscard]] int down_procs() const { return down_procs_; }
   [[nodiscard]] int down_bb() const { return down_bb_; }
 
+  // The deadline rule, public with the two tables below so batch
+  // pre-validation (src/svc) can mirror it. A deadline has passed at
+  // `now` when it lies before `now`, or at `now` too when `closing`:
+  // every event hook refuses an instant past a deadline, and end_cycle,
+  // which commits starts at `now`, also refuses one that falls on it.
+  /// The running job whose estimated end has passed (the earliest such
+  /// end, smallest id on ties), or kInvalidJob.
+  [[nodiscard]] JobId overdue_job(Time now, bool closing) const;
+  /// The active outage whose repair instant has passed (the earliest,
+  /// first delivered on ties), or nullptr.
+  [[nodiscard]] const sim::Outage* overdue_outage(Time now,
+                                                  bool closing) const;
+  /// Running jobs, in no particular order.
+  [[nodiscard]] const std::vector<RunningJob>& running_jobs() const {
+    return running_jobs_.jobs();
+  }
+  /// Active outages, in delivery order.
+  [[nodiscard]] const std::vector<sim::Outage>& active_outages() const {
+    return active_outages_;
+  }
+
  private:
-  /// Monotonic-time guard shared by every hook.
-  void check_time(Time now, const char* hook);
+  /// Guard shared by every hook: time is monotonic and no deadline has
+  /// passed at `now` (`closing` for end_cycle).
+  void check_time(Time now, const char* hook, bool closing = false);
+  /// check_time's slow path, once the clock reaches due_: raises due_ to
+  /// the earliest deadline, and throws if that one has passed.
+  void check_deadlines(Time now, const char* hook, bool closing);
   [[nodiscard]] JobPhase phase_or_grow(JobId id);
 
   Scheduler* scheduler_;
@@ -253,6 +283,11 @@ class DecisionCore {
   bool killed_consumed_ = false;
   std::vector<RunningJob> victim_scratch_;
   std::vector<Job> requeue_scratch_;
+  /// Lower bound on every deadline (kTimeMax: none). A start or an
+  /// outage lowers it; a finish, kill or repair leaves it low, and
+  /// check_deadlines raises it once the clock gets there. An instant
+  /// before it costs one comparison.
+  Time due_ = sim::kTimeMax;
 };
 
 }  // namespace bfsim::core

@@ -178,6 +178,22 @@ void Session::validate_batch(const EventBatch& batch) const {
     throw ProtocolError("time-regression",
                         "batch at t=" + std::to_string(batch.now) +
                             " after t=" + std::to_string(last_now_));
+  // The core refuses every event at an instant past a running job's
+  // estimated end or an active outage's repair instant: the batch's
+  // first hook would trip before anything applies, so the whole frame
+  // goes. The client repairs it by reporting that finish or repair at
+  // its instant (a finish may also come earlier).
+  const workload::JobId late = core_->overdue_job(batch.now, false);
+  if (late != workload::kInvalidJob)
+    throw ProtocolError("overdue-finish",
+                        "job " + std::to_string(late) +
+                            " passed its estimated end before t=" +
+                            std::to_string(batch.now) + " without a finish");
+  if (const sim::Outage* outage = core_->overdue_outage(batch.now, false))
+    throw ProtocolError("overdue-repair",
+                        "outage " + std::to_string(outage->id) +
+                            " passed its repair instant before t=" +
+                            std::to_string(batch.now) + " without a repair");
   // Lifecycle overlay: the phase each job will hold once the batch's
   // earlier events apply, so intra-batch sequences (finish then cancel
   // of the same job) validate exactly as the core would apply them.
@@ -303,6 +319,29 @@ void Session::validate_batch(const EventBatch& batch) const {
       case EventKind::kWake: break;
     }
   }
+  // end_cycle also refuses a deadline that falls on the batch instant,
+  // so the batch itself must carry that finish or repair. This is
+  // stricter than the core in one case: a job an outage of this batch
+  // kills at its estimated end. A conforming client reports that finish
+  // first, since finishes precede downs.
+  if (core_->overdue_job(batch.now, true) != workload::kInvalidJob)
+    for (const core::RunningJob& run : core_->running_jobs())
+      if (run.est_end <= batch.now &&
+          phase_of(run.job.id) != core::JobPhase::kFinished)
+        throw ProtocolError("overdue-finish",
+                            "job " + std::to_string(run.job.id) +
+                                " reaches its estimated end at t=" +
+                                std::to_string(batch.now) +
+                                " without a finish in this batch");
+  if (core_->overdue_outage(batch.now, true) != nullptr)
+    for (const sim::Outage& outage : core_->active_outages())
+      if (outage.repair_at <= batch.now &&
+          outage_overlay.find(outage.id) == outage_overlay.end())
+        throw ProtocolError("overdue-repair",
+                            "outage " + std::to_string(outage.id) +
+                                " reaches its repair instant at t=" +
+                                std::to_string(batch.now) +
+                                " without a repair in this batch");
 }
 
 }  // namespace bfsim::svc

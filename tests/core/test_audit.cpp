@@ -245,6 +245,91 @@ class MisbookedProfileScheduler final : public ShimScheduler {
   std::vector<AuditReservation> promises_;
 };
 
+/// Mutations 8-9 -- a report that changes while the profile does not
+/// follow. The shim books `promise` in its profile when that job
+/// arrives and holds the job until the promised start. From `change_at`
+/// on it reports the promise at `moved_start` instead, or drops it from
+/// the report when `moved_start` is kNoTime. The profile keeps the
+/// rectangle it booked, unless `profile_follows` releases it at the
+/// change: a job that loses its reservation while still queued is legal
+/// when the profile agrees.
+class ChangingReportScheduler final : public ShimScheduler {
+ public:
+  ChangingReportScheduler(SchedulerConfig config, AuditReservation promise,
+                          Time change_at, Time moved_start,
+                          bool profile_follows = false)
+      : ShimScheduler(config),
+        profile_(config.procs, config.burst_buffer),
+        promise_(promise),
+        change_at_(change_at),
+        moved_start_(moved_start),
+        profile_follows_(profile_follows) {}
+  bool job_submitted(const Job& job, Time now) override {
+    now_ = now;
+    if (job.id == promise_.id) {
+      profile_.reserve(promise_.start, promise_.start + promise_.estimate,
+                       promise_.procs, promise_.bb);
+      booked_ = true;
+    }
+    return ShimScheduler::job_submitted(job, now);
+  }
+  bool job_finished(JobId id, Time now) override {
+    now_ = now;
+    return ShimScheduler::job_finished(id, now);
+  }
+  using Scheduler::select_starts;
+  void select_starts(Time now, std::vector<Job>& out) override {
+    now_ = now;
+    if (profile_follows_ && booked_ && now >= change_at_) release_promise();
+    for (std::size_t i = 0; i < queue_.size();) {
+      const Job& job = queue_[i];
+      if (job.procs > config_.procs - used() ||
+          (job.id == promise_.id && now < promise_.start)) {
+        ++i;
+        continue;
+      }
+      if (job.id == promise_.id && booked_) release_promise();
+      profile_.reserve(now, now + job.estimate, job.procs, job.bb);
+      out.push_back(start_at(i));
+    }
+  }
+  [[nodiscard]] AuditHooks audit_hooks() const override {
+    return {.profile = true, .reservations = true};
+  }
+  [[nodiscard]] const MultiProfile* audit_profile() const override {
+    return &profile_;
+  }
+  [[nodiscard]] std::vector<AuditReservation> audit_reservations()
+      const override {
+    std::vector<AuditReservation> out;
+    for (const Job& job : queue_) {
+      if (job.id != promise_.id) continue;
+      AuditReservation res = promise_;
+      if (now_ >= change_at_) {
+        if (moved_start_ == sim::kNoTime) continue;
+        res.start = moved_start_;
+      }
+      out.push_back(res);
+    }
+    return out;
+  }
+
+ private:
+  void release_promise() {
+    profile_.release(promise_.start, promise_.start + promise_.estimate,
+                     promise_.procs, promise_.bb);
+    booked_ = false;
+  }
+
+  MultiProfile profile_;
+  AuditReservation promise_;
+  Time change_at_;
+  Time moved_start_;
+  bool profile_follows_;
+  bool booked_ = false;
+  Time now_ = 0;
+};
+
 /// Run `scheduler` over `trace` under a collecting (non-fatal) auditor
 /// and return the recorded violations.
 std::vector<AuditViolation> audit_run(const Trace& trace,
@@ -442,6 +527,82 @@ TEST(AuditMutation, DetectsDivergenceAtABreakpointOnlyTheExpectedHas) {
   EXPECT_EQ(v.expected, 1);  // job 0 + job 1's promise leave 1 free...
   EXPECT_EQ(v.actual, 2);    // ...the profile never booked the promise
   EXPECT_NE(v.detail.find("free(105)"), std::string::npos) << v.detail;
+}
+
+/// The trace the report-changing shims run: job 0 holds 2 of 4
+/// processors over [0, 10), job 1 needs the whole machine and is
+/// promised [10, 15), and job 2 arrives at 4, the instant the report
+/// changes, and runs beside job 0 over [4, 6).
+Trace changing_report_trace() {
+  return make_trace({{.submit = 0, .runtime = 10, .procs = 2},
+                     {.submit = 0, .runtime = 5, .procs = 4},
+                     {.submit = 4, .runtime = 2, .procs = 1}});
+}
+
+constexpr AuditReservation kChangingPromise{
+    .id = 1, .start = 10, .estimate = 5, .procs = 4};
+
+/// Both report-changing mutants diverge at the change and again at job
+/// 2's finish: the profile still holds job 1's booking over [10, 15),
+/// while the report no longer accounts for it there. The diagnostics and
+/// check counts were recorded with the auditor that rebuilt its expected
+/// timeline every cycle, and the kept timeline must reproduce them.
+void expect_stale_booking_at_10(const ScheduleAuditor& auditor) {
+  const std::vector<AuditViolation>& violations = auditor.violations();
+  ASSERT_EQ(violations.size(), 2u);
+  const Time whens[] = {4, 6};
+  for (std::size_t k = 0; k < violations.size(); ++k) {
+    const AuditViolation& v = violations[k];
+    EXPECT_EQ(v.invariant, "profile-divergence");
+    EXPECT_EQ(v.when, whens[k]);
+    EXPECT_EQ(v.expected, 4);  // job 0 is gone by 10 and nothing is due
+    EXPECT_EQ(v.actual, 0);    // the booking the report no longer shows
+    EXPECT_EQ(v.detail,
+              "availability profile free(10) disagrees with occupancy "
+              "implied by running + reserved jobs (stale breakpoint)");
+  }
+}
+
+TEST(AuditMutation, DetectsAReportedMoveTheProfileDidNotMake) {
+  // From t=4 the report promises job 1 [12, 17); the profile never
+  // moved it off [10, 15).
+  ChangingReportScheduler scheduler{SchedulerConfig{4}, kChangingPromise,
+                                    /*change_at=*/4, /*moved_start=*/12};
+  ScheduleAuditor auditor{scheduler, {.fatal = false}};
+  (void)run_simulation(changing_report_trace(), scheduler,
+                       {.auditor = &auditor});
+  expect_stale_booking_at_10(auditor);
+  EXPECT_EQ(auditor.checks(), 83u);
+}
+
+TEST(AuditMutation, DetectsAQueuedJobDroppedFromTheReport) {
+  // From t=4 the report leaves out job 1, which still waits; the
+  // profile keeps its booking.
+  ChangingReportScheduler scheduler{SchedulerConfig{4}, kChangingPromise,
+                                    /*change_at=*/4,
+                                    /*moved_start=*/sim::kNoTime};
+  ScheduleAuditor auditor{scheduler, {.fatal = false}};
+  (void)run_simulation(changing_report_trace(), scheduler,
+                       {.auditor = &auditor});
+  expect_stale_booking_at_10(auditor);
+  EXPECT_EQ(auditor.checks(), 79u);
+}
+
+TEST(Audit, AReservationDroppedFromReportAndProfileIsNoViolation) {
+  // As above, but the profile releases job 1's booking when the report
+  // drops it: report and profile agree, so the auditor must stay
+  // silent. Only the kept timeline still holds the old rectangle, and
+  // the one rebuild that finds the unreported holder discards it.
+  ChangingReportScheduler scheduler{SchedulerConfig{4}, kChangingPromise,
+                                    /*change_at=*/4,
+                                    /*moved_start=*/sim::kNoTime,
+                                    /*profile_follows=*/true};
+  ScheduleAuditor auditor{scheduler, {.fatal = false}};
+  (void)run_simulation(changing_report_trace(), scheduler,
+                       {.auditor = &auditor});
+  EXPECT_TRUE(auditor.ok()) << auditor.violations().front().to_string();
+  EXPECT_EQ(auditor.checks(), 91u);
+  EXPECT_EQ(auditor.reseeds(), 1u);
 }
 
 TEST(AuditMutation, FatalModeThrowsAtTheViolatingEvent) {

@@ -179,5 +179,142 @@ TEST(DecisionCoreWakeups, ConservativeReportsItsReservation) {
   EXPECT_EQ(blocked.next_wakeup, 100);
 }
 
+constexpr SchedulerKind kAllKinds[] = {
+    SchedulerKind::Fcfs,         SchedulerKind::Easy,
+    SchedulerKind::Conservative, SchedulerKind::KReservation,
+    SchedulerKind::Selective,    SchedulerKind::Slack,
+    SchedulerKind::Plan};
+
+TEST(DecisionCoreOverdue, EveryHookRefusesAnInstantPastARunningJobsEnd) {
+  // A 4-proc machine (plus 2 buffer GB, so a buffer-only outage can be
+  // active) whose one job, estimated to end at 10, never reports its
+  // finish. At t=15 the profile schedulers plan the machine as free
+  // while it is still busy: conservative, kres, slack and plan used to
+  // throw a plain logic_error on the next start, and nobackfill, easy and
+  // selective accepted the instant silently. Every hook now refuses it
+  // before anything moves.
+  for (const SchedulerKind kind : kAllKinds) {
+    SCOPED_TRACE(to_string(kind));
+    const auto scheduler = make_scheduler(
+        kind, SchedulerConfig{4, PriorityPolicy::Sjf, /*burst_buffer=*/2});
+    DecisionCore core{*scheduler};
+    core.on_node_down({.id = 0, .down_at = 0, .repair_at = 15, .bb = 1}, 0);
+    core.on_submit(make_job(0, 0, 10, 4), 0);
+    ASSERT_EQ(core.end_cycle(0).starts.size(), 1u);
+    EXPECT_EQ(core.overdue_job(10, false), workload::kInvalidJob);
+    EXPECT_EQ(core.overdue_job(10, true), 0u);
+    EXPECT_EQ(core.overdue_job(15, false), 0u);
+
+    EXPECT_THROW(core.on_finish(0, 15), DecisionError);
+    EXPECT_THROW(core.on_node_up(0, 15), DecisionError);
+    EXPECT_THROW(core.on_node_down(
+                     {.id = 1, .down_at = 15, .repair_at = 20, .procs = 1},
+                     15),
+                 DecisionError);
+    EXPECT_THROW(core.on_submit(make_job(1, 15, 10, 4), 15), DecisionError);
+    EXPECT_THROW(core.on_cancel(0, 15), DecisionError);
+    EXPECT_THROW(core.on_wake(15), DecisionError);
+    EXPECT_THROW((void)core.end_cycle(15), DecisionError);
+    // Nothing moved: not the clock, the job table or the outages.
+    EXPECT_EQ(core.phase(0), JobPhase::kRunning);
+    EXPECT_EQ(core.phase(1), JobPhase::kUnseen);
+    EXPECT_EQ(core.running(), 1u);
+    EXPECT_EQ(core.stats().events, 1u);
+    EXPECT_EQ(core.stats().wakeups, 0u);
+    EXPECT_EQ(core.stats().outages, 1u);
+    EXPECT_EQ(core.outage_repair_at(0), 15);
+
+    // The finish, reported by its estimated end, repairs the stream.
+    core.on_finish(0, 10);
+    (void)core.end_cycle(10);
+    EXPECT_EQ(core.overdue_job(15, true), workload::kInvalidJob);
+    core.on_node_up(0, 15);
+    core.on_submit(make_job(1, 15, 10, 4), 15);
+    const CycleDecision decision = core.end_cycle(15);
+    ASSERT_EQ(decision.starts.size(), 1u);
+    EXPECT_EQ(decision.starts[0], 1u);
+  }
+}
+
+TEST(DecisionCoreOverdue, EndCycleRefusesAnEstimatedEndAtItsInstant) {
+  // The same job, with the next frame at its estimated end. Events at
+  // t=10 are on time (its finish may still come in this batch), but
+  // closing the cycle without it would let the profile schedulers start
+  // a job on processors the machine still counts busy.
+  for (const SchedulerKind kind : kAllKinds) {
+    SCOPED_TRACE(to_string(kind));
+    const auto scheduler =
+        make_scheduler(kind, SchedulerConfig{4, PriorityPolicy::Sjf});
+    DecisionCore core{*scheduler};
+    core.on_submit(make_job(0, 0, 10, 4), 0);
+    ASSERT_EQ(core.end_cycle(0).starts.size(), 1u);
+    core.on_submit(make_job(1, 10, 10, 4), 10);
+    EXPECT_THROW((void)core.end_cycle(10), DecisionError);
+    EXPECT_EQ(core.phase(0), JobPhase::kRunning);
+    EXPECT_EQ(core.phase(1), JobPhase::kQueued);
+    EXPECT_EQ(core.stats().passes, 1u);
+
+    core.on_finish(0, 10);
+    const CycleDecision decision = core.end_cycle(10);
+    ASSERT_EQ(decision.starts.size(), 1u);
+    EXPECT_EQ(decision.starts[0], 1u);
+  }
+}
+
+TEST(DecisionCoreOverdue, EveryHookRefusesAnInstantPastAnOutagesRepair) {
+  // An outage downs the whole machine from 0 to 10 with a job waiting.
+  // The profile schedulers free the outage's capacity at its repair
+  // instant, while the machine gets it back only with the repair event,
+  // so an instant after 10 without it (or a cycle closing at 10) is
+  // refused like a missing finish.
+  for (const SchedulerKind kind : kAllKinds) {
+    SCOPED_TRACE(to_string(kind));
+    const auto scheduler =
+        make_scheduler(kind, SchedulerConfig{4, PriorityPolicy::Fcfs});
+    DecisionCore core{*scheduler};
+    core.on_node_down({.id = 0, .down_at = 0, .repair_at = 10, .procs = 4},
+                      0);
+    core.on_submit(make_job(0, 0, 10, 4), 0);
+    ASSERT_TRUE(core.end_cycle(0).starts.empty());
+    EXPECT_EQ(core.overdue_outage(10, false), nullptr);
+    ASSERT_NE(core.overdue_outage(10, true), nullptr);
+    EXPECT_EQ(core.overdue_outage(10, true)->id, 0u);
+
+    EXPECT_THROW(core.on_wake(12), DecisionError);
+    EXPECT_THROW(core.on_submit(make_job(1, 12, 10, 1), 12), DecisionError);
+    EXPECT_THROW(core.on_node_up(0, 12), DecisionError);
+    EXPECT_THROW((void)core.end_cycle(12), DecisionError);
+    core.on_wake(10);
+    EXPECT_THROW((void)core.end_cycle(10), DecisionError);
+    EXPECT_EQ(core.outage_repair_at(0), 10);
+    EXPECT_EQ(core.down_procs(), 4);
+    EXPECT_EQ(core.phase(1), JobPhase::kUnseen);
+
+    core.on_node_up(0, 10);
+    const CycleDecision decision = core.end_cycle(10);
+    ASSERT_EQ(decision.starts.size(), 1u);
+    EXPECT_EQ(decision.starts[0], 0u);
+  }
+}
+
+TEST(DecisionCoreOverdue, AFinishAtTheEstimatedEndIsOnTime) {
+  const auto scheduler = make_scheduler(
+      SchedulerKind::Conservative, SchedulerConfig{4, PriorityPolicy::Fcfs});
+  DecisionCore core{*scheduler};
+  core.on_submit(make_job(0, 0, 10, 4), 0);
+  (void)core.end_cycle(0);
+  EXPECT_EQ(core.overdue_job(10, false), workload::kInvalidJob);
+  EXPECT_NO_THROW(core.on_finish(0, 10));
+  EXPECT_NO_THROW((void)core.end_cycle(10));
+  // An early finish leaves the deadline bound at its estimated end; it
+  // never counts.
+  core.on_submit(make_job(1, 12, 100, 4), 12);
+  (void)core.end_cycle(12);
+  core.on_finish(1, 20);
+  EXPECT_NO_THROW((void)core.end_cycle(20));
+  EXPECT_EQ(core.overdue_job(500, true), workload::kInvalidJob);
+  EXPECT_NO_THROW((void)core.end_cycle(500));
+}
+
 }  // namespace
 }  // namespace bfsim::core

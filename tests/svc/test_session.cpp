@@ -157,6 +157,82 @@ TEST(Session, TimeMustNotRunBackwards) {
             "decisions");
 }
 
+TEST(Session, AFrameAfterAMissedEstimatedEndIsRejectedWhole) {
+  // 4 procs under SJF: job 0 (4 wide, estimated to end at 10) starts at
+  // 0, and the client's next frame comes at 15 without its finish. The
+  // core refuses that instant; the session must reject the frame before
+  // applying any of it, stay serviceable, and never call it a desync.
+  Session session;
+  ASSERT_EQ(reply_type(session.handle_line(
+                R"({"type":"hello","v":3,"scheduler":"conservative",)"
+                R"("procs":4,"priority":"sjf","audit":true})")),
+            "welcome");
+  ASSERT_EQ(reply_type(session.handle_line(submit_batch(1, 0, 0, 10, 4))),
+            "decisions");
+  EXPECT_EQ(error_reason(session.handle_line(submit_batch(2, 15, 1, 10, 4))),
+            "overdue-finish");
+  EXPECT_EQ(error_reason(session.handle_line(
+                R"({"type":"events","seq":2,"now":15,"events":[]})")),
+            "overdue-finish");
+  // At the estimated end itself the frame must carry the finish: its
+  // cycle would otherwise start job 1 on processors still busy.
+  EXPECT_EQ(error_reason(session.handle_line(submit_batch(2, 10, 1, 10, 4))),
+            "overdue-finish");
+  EXPECT_EQ(session.report().reasons.count("internal-desync"), 0u);
+  EXPECT_EQ(session.report().reasons.at("overdue-finish"), 3u);
+  EXPECT_EQ(session.last_seq(), 1u);
+  ASSERT_NE(session.decision_core(), nullptr);
+  EXPECT_EQ(session.decision_core()->phase(1), core::JobPhase::kUnseen);
+  // The repaired stream goes through: the finish at its estimated end,
+  // then the arrival, which starts on the freed machine.
+  EXPECT_EQ(reply_type(session.handle_line(
+                R"({"type":"events","seq":2,"now":10,"events":[)"
+                R"({"kind":"finish","id":0}]})")),
+            "decisions");
+  const std::string decisions =
+      session.handle_line(submit_batch(3, 15, 1, 10, 4));
+  ASSERT_EQ(reply_type(decisions), "decisions");
+  const Json starts = *parse_json(decisions).find("starts");
+  ASSERT_EQ(starts.as_array().size(), 1u);
+  EXPECT_EQ(starts.as_array()[0].as_int(), 1);
+}
+
+TEST(Session, AFrameAfterAMissedRepairIsRejectedWhole) {
+  // An outage downs all 4 processors from 0 to 10 while a 4-proc job
+  // waits; the client's next frame comes at or after 10 without the
+  // repair. Conservative plans the capacity back at 10, so that frame
+  // would start the job on processors the machine still counts down.
+  Session session;
+  ASSERT_EQ(reply_type(session.handle_line(
+                R"({"type":"hello","v":3,"scheduler":"conservative",)"
+                R"("procs":4,"audit":true})")),
+            "welcome");
+  ASSERT_EQ(reply_type(session.handle_line(
+                R"({"type":"events","seq":1,"now":0,"events":[)"
+                R"({"kind":"down","outage":0,"repair":10,"procs":4},)"
+                R"({"kind":"submit","id":0,"submit":0,"estimate":10,)"
+                R"("procs":4}]})")),
+            "decisions");
+  EXPECT_EQ(error_reason(session.handle_line(
+                R"({"type":"events","seq":2,"now":12,"events":[)"
+                R"({"kind":"wake"}]})")),
+            "overdue-repair");
+  EXPECT_EQ(error_reason(session.handle_line(
+                R"({"type":"events","seq":2,"now":10,"events":[)"
+                R"({"kind":"wake"}]})")),
+            "overdue-repair");
+  EXPECT_EQ(session.report().reasons.count("internal-desync"), 0u);
+  EXPECT_EQ(session.report().reasons.at("overdue-repair"), 2u);
+  EXPECT_EQ(session.last_seq(), 1u);
+  const std::string decisions = session.handle_line(
+      R"({"type":"events","seq":2,"now":10,"events":[)"
+      R"({"kind":"up","outage":0}]})");
+  ASSERT_EQ(reply_type(decisions), "decisions");
+  const Json starts = *parse_json(decisions).find("starts");
+  ASSERT_EQ(starts.as_array().size(), 1u);
+  EXPECT_EQ(starts.as_array()[0].as_int(), 0);
+}
+
 TEST(Session, EventsWithinABatchMustBeOrdered) {
   Session session;
   (void)session.handle_line(kHello);

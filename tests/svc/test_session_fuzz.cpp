@@ -22,8 +22,9 @@ namespace {
 /// A channel that harasses its Session with hostile mutations of each
 /// outbound frame before delivering the real one. Every mutation is
 /// built to be *rejectable* (truncations, garbage, bad seq, unknown
-/// type) so the legitimate conversation must come through untouched;
-/// duplicates of the previous accepted frame check retransmit dedup.
+/// type, a finish dropped past its job's estimated end) so the
+/// legitimate conversation must come through untouched; duplicates of
+/// the previous accepted frame check retransmit dedup.
 class HostileChannel final : public LineChannel {
  public:
   HostileChannel(Session& session, std::uint64_t seed)
@@ -44,7 +45,7 @@ class HostileChannel final : public LineChannel {
 
  private:
   void attack(const std::string& line) {
-    switch (rng_.uniform_int(0, 6)) {
+    switch (rng_.uniform_int(0, 7)) {
       case 0: {  // truncation: a prefix of a JSON object never parses
         const auto cut = static_cast<std::size_t>(
             rng_.uniform_int(0, static_cast<std::int64_t>(line.size()) - 1));
@@ -97,10 +98,27 @@ class HostileChannel final : public LineChannel {
               R"("estimate":1,"procs":1,"bb":2000000000}]})");
         }
         break;
+      case 7: {  // a finish dropped while the clock runs past its end
+        if (line.find(R"("kind":"finish")") == std::string::npos) break;
+        // The job finishing in this frame still runs; no estimate comes
+        // near a thousand days, so the delayed instant is past its end
+        // (and still inside the wire's ten-year time cap).
+        constexpr core::Time kDelay = 1000 * sim::kDay;
+        const Json frame = parse_json(line);
+        expect_rejected(R"({"type":"events","seq":)" +
+                            std::to_string(frame.find("seq")->as_int()) +
+                            R"(,"now":)" +
+                            std::to_string(frame.find("now")->as_int() +
+                                           kDelay) +
+                            R"(,"events":[]})",
+                        "overdue-finish");
+        break;
+      }
     }
   }
 
-  void expect_rejected(const std::string& frame) {
+  void expect_rejected(const std::string& frame,
+                       const char* reason = nullptr) {
     ++hostile_;
     std::string reply;
     EXPECT_NO_THROW(reply = session_->handle_line(frame))
@@ -111,6 +129,9 @@ class HostileChannel final : public LineChannel {
     EXPECT_EQ(parsed.find("type")->as_string(), "error") << frame;
     ASSERT_NE(parsed.find("reason"), nullptr);
     EXPECT_FALSE(parsed.find("reason")->as_string().empty());
+    if (reason != nullptr) {
+      EXPECT_EQ(parsed.find("reason")->as_string(), reason) << frame;
+    }
   }
 
   Session* session_;
