@@ -23,13 +23,18 @@
 //
 // Both report modes also count deterministic work on the report's trace
 // and on an actual-estimate twin: jobs plan re-anchored, promotion
-// checks selective made, and conservative's compression probes and
-// moves. --smoke fails when plan re-anchors more than one job per
-// submitted job on the exact-estimate FCFS trace (the stateless replan
-// re-anchored the whole queue at every pass), and when an audited
+// checks selective made, conservative's compression probes, moves and
+// width-bound skips, and the matches nobackfill-xfactor's head
+// tournament played. --smoke fails when plan re-anchors more than one
+// job per submitted job on the exact-estimate FCFS trace (the stateless
+// replan re-anchored the whole queue at every pass); when an audited
 // replay of conservative, slack or plan rebuilds the auditor's kept
 // timeline more often than the baseline's `audit_reseeds` records (0;
-// ScheduleAuditor::reseeds()).
+// ScheduleAuditor::reseeds()); when the head tournament plays more than
+// kMaxHeadUpdatesPerEvent matches per event on the exact trace; and when
+// the width bound skips less than kMinCompressionSkipShare of the jobs
+// compression visits on the actual-estimate twin. --profile-report also
+// times nobackfill-xfactor at 4k, 16k and 64k jobs (its scaling rung).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -46,6 +51,7 @@
 #include "core/audit.hpp"
 #include "core/conservative_scheduler.hpp"
 #include "core/decision_core.hpp"
+#include "core/fcfs_scheduler.hpp"
 #include "core/multi_profile.hpp"
 #include "core/plan_scheduler.hpp"
 #include "core/profile.hpp"
@@ -642,13 +648,39 @@ struct WorkCounters {
   std::uint64_t promotion_checks = 0;   ///< selective's exact checks
   std::uint64_t compression_probes = 0; ///< conservative's probes
   std::uint64_t compression_moves = 0;  ///< probes that moved a job
+  std::uint64_t compression_skips = 0;  ///< jobs the width bound passed
+  std::uint64_t xfactor_events = 0;     ///< nobackfill-xfactor's events
+  std::uint64_t head_updates = 0;       ///< its head tournament's matches
 
   [[nodiscard]] double reanchored_per_job() const {
     return jobs == 0 ? 0.0
                      : static_cast<double>(plan_reanchored) /
                            static_cast<double>(jobs);
   }
+  /// Share of the jobs compression visited (past the hole filter) that
+  /// the width bound skipped without a probe.
+  [[nodiscard]] double skip_share() const {
+    const std::uint64_t visited = compression_probes + compression_skips;
+    return visited == 0 ? 0.0
+                        : static_cast<double>(compression_skips) /
+                              static_cast<double>(visited);
+  }
+  [[nodiscard]] double head_updates_per_event() const {
+    return xfactor_events == 0 ? 0.0
+                               : static_cast<double>(head_updates) /
+                                     static_cast<double>(xfactor_events);
+  }
 };
+
+/// Smoke limits on the work counters, fixed so they hold on any machine.
+/// Head matches per event read 6.3 / 6.4 / 8.5 at 2k / 4k / 16k jobs on
+/// the exact CTC trace (9.9 at 64k: a start replays one root path, whose
+/// length grows with the log of the backlog), where re-ranking the whole
+/// queue at every pass computed one key per queued job. The width bound
+/// skips 38 / 49 / 48% of the jobs compression visits on the
+/// actual-estimate twins at 2k / 4k / 16k.
+constexpr double kMaxHeadUpdatesPerEvent = 10.0;
+constexpr double kMinCompressionSkipShare = 0.30;
 
 WorkCounters measure_work(const workload::Trace& trace, int procs,
                           const std::string& regime) {
@@ -667,7 +699,40 @@ WorkCounters measure_work(const workload::Trace& trace, int procs,
   (void)core::run_simulation(trace, conservative);
   work.compression_probes = conservative.compression_probes();
   work.compression_moves = conservative.compression_moves();
+  work.compression_skips = conservative.compression_skips();
+  core::FcfsScheduler nobackfill{{procs, core::PriorityPolicy::XFactor}};
+  work.xfactor_events = core::run_simulation(trace, nobackfill).events;
+  work.head_updates = nobackfill.head_node_updates();
   return work;
+}
+
+/// nobackfill-xfactor at growing trace lengths: whether its events/s
+/// stay flat as the backlog deepens.
+struct RungPoint {
+  std::size_t jobs = 0;
+  double events_per_sec = 0.0;
+  double head_updates_per_event = 0.0;
+};
+
+std::vector<RungPoint> measure_xfactor_rung() {
+  const int procs = exp::machine_procs(exp::TraceKind::Ctc);
+  std::vector<RungPoint> rung;
+  for (const std::size_t jobs : {4000, 16000, 64000}) {
+    const auto trace = bench_trace(exp::TraceKind::Ctc, jobs);
+    RungPoint point;
+    point.jobs = jobs;
+    point.events_per_sec =
+        measure_sim(trace, core::SchedulerKind::Fcfs,
+                    core::PriorityPolicy::XFactor, procs)
+            .events_per_sec;
+    core::FcfsScheduler nobackfill{{procs, core::PriorityPolicy::XFactor}};
+    const auto events = core::run_simulation(trace, nobackfill).events;
+    point.head_updates_per_event =
+        static_cast<double>(nobackfill.head_node_updates()) /
+        static_cast<double>(events);
+    rung.push_back(point);
+  }
+  return rung;
 }
 
 struct SweepPoint {
@@ -761,10 +826,11 @@ struct Report {
   std::vector<AuditOverhead> audits;
   /// Exact estimates (the report's trace) first, then actual estimates.
   std::vector<WorkCounters> work;
+  std::vector<RungPoint> xfactor_rung;  ///< --profile-report only
   SweepStats sweep;
 };
 
-Report build_report(std::size_t jobs) {
+Report build_report(std::size_t jobs, bool rung) {
   const int procs = exp::machine_procs(exp::TraceKind::Ctc);
   const auto trace = bench_trace(exp::TraceKind::Ctc, jobs);
   Report report;
@@ -807,6 +873,7 @@ Report build_report(std::size_t jobs) {
       bench_trace(exp::TraceKind::Ctc, jobs,
                   {.regime = exp::EstimateRegime::Actual}),
       procs, "actual"));
+  if (rung) report.xfactor_rung = measure_xfactor_rung();
   report.sweep = measure_sweep(jobs);
   return report;
 }
@@ -888,10 +955,28 @@ void write_json(const Report& report, const std::string& path) {
         << ", \"plan_reanchored\": " << w.plan_reanchored
         << ", \"promotion_checks\": " << w.promotion_checks
         << ", \"compression_probes\": " << w.compression_probes
-        << ", \"compression_moves\": " << w.compression_moves << "},\n";
-  // Flat key for the smoke guard's single-number extractor.
+        << ", \"compression_moves\": " << w.compression_moves
+        << ", \"compression_skips\": " << w.compression_skips
+        << ", \"xfactor_events\": " << w.xfactor_events
+        << ", \"head_updates\": " << w.head_updates << "},\n";
+  // Flat keys for the smoke guard's single-number extractor.
   out << "  \"plan_reanchored_per_job\": "
       << report.work.front().reanchored_per_job() << ",\n";
+  out << "  \"head_updates_per_event\": "
+      << report.work.front().head_updates_per_event() << ",\n";
+  out << "  \"compression_skip_share\": " << report.work.back().skip_share()
+      << ",\n";
+  if (!report.xfactor_rung.empty()) {
+    out << "  \"xfactor_rung\": [";
+    for (std::size_t i = 0; i < report.xfactor_rung.size(); ++i) {
+      const RungPoint& p = report.xfactor_rung[i];
+      out << (i ? ", " : "") << "{\"jobs\": " << p.jobs
+          << ", \"events_per_sec\": " << p.events_per_sec
+          << ", \"head_updates_per_event\": " << p.head_updates_per_event
+          << "}";
+    }
+    out << "],\n";
+  }
   out << "  \"sweep\": {\"cells\": " << report.sweep.cells
       << ", \"deterministic\": "
       << (report.sweep.deterministic ? "true" : "false") << ", \"points\": [";
@@ -946,13 +1031,27 @@ void print_report(const Report& report) {
   for (const WorkCounters& w : report.work)
     std::printf("work (%s estimates, %llu jobs): plan re-anchored %llu "
                 "(%.2f per job), selective promotion checks %llu, "
-                "conservative compression probes %llu, moves %llu\n",
+                "conservative compression probes %llu, moves %llu, "
+                "width-bound skips %llu (%.1f%% of visited), "
+                "nobackfill-xfactor head matches %llu (%.2f per event)\n",
                 w.regime.c_str(), static_cast<unsigned long long>(w.jobs),
                 static_cast<unsigned long long>(w.plan_reanchored),
                 w.reanchored_per_job(),
                 static_cast<unsigned long long>(w.promotion_checks),
                 static_cast<unsigned long long>(w.compression_probes),
-                static_cast<unsigned long long>(w.compression_moves));
+                static_cast<unsigned long long>(w.compression_moves),
+                static_cast<unsigned long long>(w.compression_skips),
+                100.0 * w.skip_share(),
+                static_cast<unsigned long long>(w.head_updates),
+                w.head_updates_per_event());
+  if (!report.xfactor_rung.empty()) {
+    std::printf("nobackfill-xfactor scaling (exact estimates):");
+    for (const RungPoint& p : report.xfactor_rung)
+      std::printf("  %zuk %.3gM events/s (%.2f matches/event)",
+                  p.jobs / 1000, p.events_per_sec / 1e6,
+                  p.head_updates_per_event);
+    std::printf("\n");
+  }
   for (const SweepPoint& p : report.sweep.points)
     std::printf("sweep throughput (%zu cells, %zu threads): %6.1f cells/sec "
                 "(%.3fs, %.2fx)\n",
@@ -987,7 +1086,7 @@ int run_smoke(const ReportOptions& options) {
                  options.baseline.c_str());
     return 1;
   }
-  const Report report = build_report(options.jobs);
+  const Report report = build_report(options.jobs, /*rung=*/false);
   print_report(report);
   bool ok = true;
   const double limit = 2.0 * baseline;
@@ -1165,6 +1264,34 @@ int run_smoke(const ReportOptions& options) {
       std::printf("OK\n");
     }
   }
+  // Work gates, exact on any machine. Without backfilling a pass needs
+  // only the head of the XFactor order: the tournament plays O(log q)
+  // matches per start and per crossing, where re-deriving the order
+  // costs one key per queued job per pass.
+  const double head_rate = exact.head_updates_per_event();
+  std::printf("perf smoke: nobackfill-xfactor head matches %.3f per event "
+              "(%s estimates), limit %.1f -- ",
+              head_rate, exact.regime.c_str(), kMaxHeadUpdatesPerEvent);
+  if (head_rate > kMaxHeadUpdatesPerEvent) {
+    std::printf("FAIL\n");
+    ok = false;
+  } else {
+    std::printf("OK\n");
+  }
+  // Compression skips, without a probe, every job wider than any
+  // capacity freed since it was anchored; exact estimates never compress,
+  // so the actual-estimate twin carries this gate.
+  const WorkCounters& actual = report.work.back();
+  std::printf("perf smoke: width bound skipped %.1f%% of the jobs "
+              "compression visited (%s estimates), floor %.0f%% -- ",
+              100.0 * actual.skip_share(), actual.regime.c_str(),
+              100.0 * kMinCompressionSkipShare);
+  if (actual.skip_share() < kMinCompressionSkipShare) {
+    std::printf("FAIL\n");
+    ok = false;
+  } else {
+    std::printf("OK\n");
+  }
   // A correctness gate, not a throughput gate: parallel efficiency varies
   // with the CI machine, but the merged metrics must never depend on the
   // worker count.
@@ -1207,7 +1334,7 @@ int run_audit_overhead(const ReportOptions& options) {
 }
 
 int run_report_mode(const ReportOptions& options) {
-  const Report report = build_report(options.jobs);
+  const Report report = build_report(options.jobs, /*rung=*/true);
   print_report(report);
   write_json(report, options.out);
   std::printf("wrote %s\n", options.out.c_str());

@@ -51,7 +51,7 @@ bool ConservativeScheduler::job_finished(JobId id, Time now) {
   // anchored exactly at this job's est_end can still be due now.
   if (now < rj.est_end) {
     profile_.release(now, rj.est_end, rj.job.procs, rj.job.bb);
-    compress(now, now);
+    compress(now, now, rj.est_end);
   }
   return due_.earliest(reservations_) == now;
 }
@@ -59,13 +59,13 @@ bool ConservativeScheduler::job_finished(JobId id, Time now) {
 bool ConservativeScheduler::job_cancelled(JobId id, Time now) {
   const Job job = take_queued(id);
   const Time start = reservations_.at(id);
-  profile_.release(start, sim::saturating_add(start, job.estimate), job.procs,
-                   job.bb);
+  const Time end = sim::saturating_add(start, job.estimate);
+  profile_.release(start, end, job.procs, job.bb);
   reservations_.erase(id);
   // The vacated rectangle is a fresh hole: compress around it. Capacity
   // only appeared from `start` onwards, so reservations before it are
   // immovable.
-  compress(now, start);
+  compress(now, start, end);
   return due_.earliest(reservations_) == now;
 }
 
@@ -123,7 +123,8 @@ Time ConservativeScheduler::next_wakeup() {
   return due_.earliest(reservations_);
 }
 
-void ConservativeScheduler::compress(Time now, Time hole_begin) {
+void ConservativeScheduler::compress(Time now, Time hole_begin,
+                                     Time hole_end) {
   if (queue_.empty()) return;
   ensure_sorted(now);
   // Iterate to a fixpoint. A single priority-order pass is not one: a
@@ -146,23 +147,38 @@ void ConservativeScheduler::compress(Time now, Time hole_begin) {
   // reservation <= hole_begin are skipped, and a pass that moves
   // nobody certifies the fixpoint.
   //
+  // A job can also only move through an instant whose capacity rose
+  // since it was last shown immovable, and only if its whole demand is
+  // free there. `bound` holds the most capacity free, per axis, at any
+  // such instant: the released span, then each mover's vacated tail,
+  // folded in the moment it opens. A job wider than `bound` on either
+  // axis is skipped without a probe (DESIGN.md section 11).
+  //
   // The rest are probed read-only first (MultiProfile::earlier_anchor):
   // a job whose own rectangle is already its earliest anchor would be
   // released and re-reserved at the same start, and the coalesced
   // profile is canonical, so skipping it leaves the profile exactly as
   // the release + re-reserve would. Only movers touch the profile.
+  MultiProfile::Capacity bound = profile_.max_free(hole_begin, hole_end);
   for (;;) {
     Time next_hole = sim::kNoTime;
+    // Every job the next pass visits is certified during this one, so
+    // only this pass's vacated tails can have raised capacity since.
+    MultiProfile::Capacity next_bound;
     for (const Job& job : queue_) {
       const Time old_start = reservations_.at(job.id);
       if (old_start <= hole_begin) continue;  // cannot move earlier
+      if (job.procs > bound.procs || job.bb > bound.bb) {
+        ++compression_skips_;  // too wide for any instant that gained
+        continue;
+      }
       const Time probe = profile_.earlier_anchor(job.procs, job.bb,
                                                  job.estimate, now, old_start);
       ++compression_probes_;
       if (probe == sim::kNoTime) continue;  // already at its earliest anchor
       ++compression_moves_;
-      profile_.release(old_start, sim::saturating_add(old_start, job.estimate),
-                       job.procs, job.bb);
+      const Time old_end = sim::saturating_add(old_start, job.estimate);
+      profile_.release(old_start, old_end, job.procs, job.bb);
       const Time anchor =
           profile_.find_and_reserve(job.procs, job.bb, job.estimate, now);
       if (anchor > old_start)
@@ -176,6 +192,15 @@ void ConservativeScheduler::compress(Time now, Time hole_begin) {
             std::to_string(job.id) + ")");
       reservations_.set(job.id, anchor);
       due_.push(anchor, job.id);
+      // Capacity rose only on the part of the old rectangle the new one
+      // does not cover.
+      const MultiProfile::Capacity tail = profile_.max_free(
+          std::max(old_start, sim::saturating_add(anchor, job.estimate)),
+          old_end);
+      bound.procs = std::max(bound.procs, tail.procs);
+      bound.bb = std::max(bound.bb, tail.bb);
+      next_bound.procs = std::max(next_bound.procs, tail.procs);
+      next_bound.bb = std::max(next_bound.bb, tail.bb);
       // The vacated slot adds capacity at-or-after old_start: only
       // jobs reserved beyond it can cascade in the next pass.
       next_hole = next_hole == sim::kNoTime ? old_start
@@ -183,6 +208,7 @@ void ConservativeScheduler::compress(Time now, Time hole_begin) {
     }
     if (next_hole == sim::kNoTime) return;  // nobody moved: fixpoint
     hole_begin = next_hole;
+    bound = next_bound;
   }
 }
 

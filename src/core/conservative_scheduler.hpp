@@ -60,6 +60,11 @@ class ConservativeScheduler : public SchedulerBase {
   [[nodiscard]] std::uint64_t compression_moves() const {
     return compression_moves_;
   }
+  /// Jobs compression passed over without a probe: wider, on some axis,
+  /// than any capacity that appeared since they were last anchored.
+  [[nodiscard]] std::uint64_t compression_skips() const {
+    return compression_skips_;
+  }
 
   // Auditor introspection: conservative holds a guarantee for every
   // queued job, never delays one, and keeps a persistent profile.
@@ -88,21 +93,24 @@ class ConservativeScheduler : public SchedulerBase {
  private:
   std::uint64_t compression_probes_ = 0;
   std::uint64_t compression_moves_ = 0;
+  std::uint64_t compression_skips_ = 0;
   /// Pass-time working buffers, reused so select_starts never allocates
   /// in steady state.
   std::vector<JobId> due_scratch_;
   std::vector<JobId> order_scratch_;
 
   /// Re-anchor queued jobs in priority order after capacity was freed
-  /// at `hole_begin` (>= now), iterating until no reservation moves.
-  /// Jobs whose reservation already starts at-or-before the earliest
-  /// still-unconsidered hole are skipped -- they provably cannot move
-  /// (see the implementation comment). Every other candidate is probed
-  /// read-only (MultiProfile::earlier_anchor); only one the probe finds
-  /// an earlier anchor for is released and re-placed there. On return
+  /// over [hole_begin, hole_end) (hole_begin >= now), iterating until
+  /// no reservation moves. Jobs whose reservation already starts
+  /// at-or-before the earliest still-unconsidered hole, and jobs wider
+  /// than any capacity freed since they were last anchored, are
+  /// skipped -- they provably cannot move (see the implementation
+  /// comment). Every other candidate is probed read-only
+  /// (MultiProfile::earlier_anchor); only one the probe finds an
+  /// earlier anchor for is released and re-placed there. On return
   /// every reservation is at its true earliest anchor, which is what
   /// makes skipping the whole pass on on-time completions sound.
-  void compress(Time now, Time hole_begin);
+  void compress(Time now, Time hole_begin, Time hole_end);
 };
 
 }  // namespace bfsim::core

@@ -13,28 +13,52 @@ FcfsScheduler::FcfsScheduler(SchedulerConfig config)
 // head and every hook requests a pass while jobs wait.
 
 bool FcfsScheduler::job_submitted(const Job& job, Time now) {
+  if (time_varying_priority()) {
+    head_.insert(job, now);
+    return true;
+  }
   insert_queued(job, now);
-  if (time_varying_priority()) return true;
   return queue_.front().id == job.id && fits_now(job);
 }
 
 bool FcfsScheduler::job_finished(JobId id, Time now) {
   commit_finish(id, now);
-  return !queue_.empty();
+  return waiting();
 }
 
-bool FcfsScheduler::job_cancelled(JobId id, Time) {
+bool FcfsScheduler::job_cancelled(JobId id, Time now) {
+  if (time_varying_priority()) {
+    head_.erase(id, now);
+    return waiting();
+  }
   const bool was_front = !queue_.empty() && queue_.front().id == id;
   (void)take_queued(id);
-  if (queue_.empty()) return false;
-  if (time_varying_priority()) return true;
-  return was_front && fits_now(queue_.front());
+  return was_front && !queue_.empty() && fits_now(queue_.front());
+}
+
+bool FcfsScheduler::node_down(const sim::Outage& outage, Time now) {
+  (void)SchedulerBase::node_down(outage, now);
+  return waiting();
+}
+
+bool FcfsScheduler::node_up(const sim::Outage& outage, Time now) {
+  (void)SchedulerBase::node_up(outage, now);
+  return waiting();
 }
 
 void FcfsScheduler::select_starts(Time now, std::vector<Job>& out) {
-  ensure_sorted(now);
-  // Strict queue order: stop at the first job that does not fit on
+  // Strict priority order: stop at the first job that does not fit on
   // every resource axis.
+  if (time_varying_priority()) {
+    for (const Job* head = head_.head(now); head != nullptr && fits_now(*head);
+         head = head_.head(now)) {
+      const Job job = *head;
+      commit_start_of(job, now);
+      head_.erase(job.id, now);
+      out.push_back(job);
+    }
+    return;
+  }
   while (!queue_.empty() && fits_now(queue_.front()))
     out.push_back(commit_start(queue_.front().id, now));
 }

@@ -78,6 +78,20 @@ bool MultiProfile::fits(int procs, int bb, sim::Time begin,
   return true;
 }
 
+MultiProfile::Capacity MultiProfile::max_free(sim::Time begin,
+                                              sim::Time end) const {
+  Capacity most;
+  if (begin >= end) return most;
+  if (begin < 0)
+    throw std::invalid_argument("MultiProfile::max_free: negative window start");
+  for (std::size_t i = segment_index(begin);
+       i < points_.size() && points_[i].begin < end; ++i) {
+    most.procs = std::max(most.procs, points_[i].procs);
+    most.bb = std::max(most.bb, points_[i].bb);
+  }
+  return most;
+}
+
 sim::Time MultiProfile::hinted_start(int procs, sim::Time not_before) const {
   // A bucket of width w <= procs certifies procs_free < w <= procs over
   // [h.not_before, h.bound); when its interval starts at or before the

@@ -102,6 +102,19 @@ class MultiProfile {
   [[nodiscard]] bool fits(int procs, int bb, sim::Time begin,
                           sim::Time end) const;
 
+  /// Free capacity on each axis, taken separately.
+  struct Capacity {
+    int procs = 0;
+    int bb = 0;
+    friend bool operator==(const Capacity&, const Capacity&) = default;
+  };
+
+  /// The most free processors and the most free buffer units at any
+  /// instant of [begin, end), each axis maximized on its own; {0, 0}
+  /// for an empty window. No demand wider than this on either axis fits
+  /// anywhere in the window. Requires begin >= 0 for non-empty windows.
+  [[nodiscard]] Capacity max_free(sim::Time begin, sim::Time end) const;
+
   /// Subtract (procs, bb) over [begin, end). Throws std::logic_error if
   /// this would drive either axis negative (an over-reservation bug);
   /// the profile is unchanged when it throws.

@@ -48,12 +48,8 @@ bool PriorityOrder::operator()(const Job& a, const Job& b) const {
     case PriorityPolicy::Ljf:
       if (a.estimate != b.estimate) return a.estimate > b.estimate;
       break;
-    case PriorityPolicy::XFactor: {
-      const double xa = xfactor(a, now_);
-      const double xb = xfactor(b, now_);
-      if (xa != xb) return xa > xb;
-      break;
-    }
+    case PriorityPolicy::XFactor:
+      return xfactor_precedes(xfactor(a, now_), a, xfactor(b, now_), b);
     case PriorityPolicy::Narrowest:
       if (a.procs != b.procs) return a.procs < b.procs;
       break;
@@ -84,15 +80,11 @@ std::size_t restore_xfactor_order(Job* first, Job* last, Time now,
   const auto n = static_cast<std::size_t>(last - first);
   keys.resize(n);
   for (std::size_t i = 0; i < n; ++i) keys[i] = xfactor(first[i], now);
-  const auto precedes = [](double ka, const Job& a, double kb, const Job& b) {
-    if (ka != kb) return ka > kb;
-    if (a.submit != b.submit) return a.submit < b.submit;
-    return a.id < b.id;
-  };
   // Slots below every insertion point never change.
   std::size_t first_moved = n;
   for (std::size_t i = 1; i < n; ++i) {
-    if (!precedes(keys[i], first[i], keys[i - 1], first[i - 1])) continue;
+    if (!xfactor_precedes(keys[i], first[i], keys[i - 1], first[i - 1]))
+      continue;
     const Job job = first[i];
     const double key = keys[i];
     std::size_t j = i;
@@ -100,7 +92,7 @@ std::size_t restore_xfactor_order(Job* first, Job* last, Time now,
       first[j] = first[j - 1];
       keys[j] = keys[j - 1];
       --j;
-    } while (j > 0 && precedes(key, job, keys[j - 1], first[j - 1]));
+    } while (j > 0 && xfactor_precedes(key, job, keys[j - 1], first[j - 1]));
     first[j] = job;
     keys[j] = key;
     first_moved = std::min(first_moved, j);

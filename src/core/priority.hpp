@@ -36,6 +36,17 @@ inline constexpr PriorityPolicy kPaperPolicies[] = {
 /// (wait + estimated runtime) / estimated runtime = 1 + wait / estimate.
 [[nodiscard]] double xfactor(const Job& job, Time now);
 
+/// XFactor order on precomputed keys: `a` with factor `ka` comes before
+/// `b` with factor `kb`. The factors are xfactor()'s doubles; ties go to
+/// the earlier submit, then the lower id -- exactly PriorityOrder's
+/// XFactor order, for callers that reuse each key.
+[[nodiscard]] inline bool xfactor_precedes(double ka, const Job& a, double kb,
+                                           const Job& b) {
+  if (ka != kb) return ka > kb;
+  if (a.submit != b.submit) return a.submit < b.submit;
+  return a.id < b.id;
+}
+
 /// Strict-weak-order comparator: a() before b() means a has priority.
 /// All policies tie-break by (submit, id) so the order is total and the
 /// resulting schedules are deterministic. XFactor is time-dependent:

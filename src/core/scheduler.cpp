@@ -102,21 +102,25 @@ Job SchedulerBase::commit_start(JobId id, Time now) {
   if (idx == queue_.size())
     throw std::logic_error("Scheduler: starting a job that is not queued");
   const Job job = queue_[idx];
+  commit_start_of(job, now);
+  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
+  return job;
+}
+
+void SchedulerBase::commit_start_of(const Job& job, Time now) {
   if (job.procs > free_)
     throw std::logic_error("Scheduler: start exceeds free processors");
   if (job.bb > free_bb_)
     throw std::logic_error("Scheduler: start exceeds free burst buffer");
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
   free_ -= job.procs;
   free_bb_ -= job.bb;
   // A hostile estimate near kTimeMax must clamp to "runs forever", not
   // wrap est_end into the past (which would corrupt every profile and
   // shadow computation built from the running set).
   const Time est_end = sim::saturating_add(now, job.estimate);
-  running_.insert(id, RunningJob{job, now, est_end});
+  running_.insert(job.id, RunningJob{job, now, est_end});
   if (running_profile_)
     running_profile_->reserve(now, est_end, job.procs, job.bb);
-  return job;
 }
 
 RunningJob SchedulerBase::commit_finish(JobId id, Time now) {

@@ -195,7 +195,8 @@ class SchedulerBase : public Scheduler {
   /// queue is permanently in priority order (insert_queued places new
   /// arrivals in-place); only the time-varying XFactor order appends and
   /// defers to ensure_sorted at pass time, which repairs the order the
-  /// previous pass left.
+  /// previous pass left. (FcfsScheduler under XFactor keeps its jobs
+  /// in its own head structure instead, and queue_ stays empty.)
   JobQueue queue_;
   RunningTable running_;                          ///< started jobs
   int free_ = 0;                                  ///< processors free now
@@ -243,6 +244,9 @@ class SchedulerBase : public Scheduler {
   /// free_/free_bb_ and returns the job. Throws std::logic_error on
   /// under-capacity on either axis.
   Job commit_start(JobId id, Time now);
+  /// commit_start for a job the caller keeps off queue_: the running-set
+  /// and capacity half. Throws before changing anything.
+  void commit_start_of(const Job& job, Time now);
 
   /// Remove a job that finished (or was killed) at `now` from running_
   /// and return its capacity, including the unused tail of its estimated

@@ -7,9 +7,13 @@
 namespace bfsim::workload {
 
 void finalize(Trace& trace) {
-  std::stable_sort(
-      trace.begin(), trace.end(),
-      [](const Job& a, const Job& b) { return a.submit < b.submit; });
+  const auto by_submit = [](const Job& a, const Job& b) {
+    return a.submit < b.submit;
+  };
+  // Most callers hand over a trace already in submit order, which a
+  // stable sort would leave as is after allocating a trace-sized buffer.
+  if (!std::is_sorted(trace.begin(), trace.end(), by_submit))
+    std::stable_sort(trace.begin(), trace.end(), by_submit);
   for (std::size_t i = 0; i < trace.size(); ++i)
     trace[i].id = static_cast<JobId>(i);
 }

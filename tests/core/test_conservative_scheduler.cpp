@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "core/simulation.hpp"
+#include "core/slack_scheduler.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/failure.hpp"
 #include "test_support.hpp"
+#include "workload/estimates.hpp"
+#include "workload/transforms.hpp"
 
 namespace bfsim::core {
 namespace {
@@ -206,6 +210,119 @@ TEST(ConservativeScheduler, NameIncludesPriority) {
   const ConservativeScheduler scheduler{
       SchedulerConfig{8, PriorityPolicy::Sjf}};
   EXPECT_EQ(scheduler.name(), "conservative-sjf");
+}
+
+/// Forwards every hook to a conservative-family scheduler and, after
+/// each, checks the fixpoint compression promises: no queued job has an
+/// earlier anchor. job_killed is exempt: the outage's node_down follows
+/// it within the same instant and repacks every guarantee.
+class FixpointCheck final : public Scheduler {
+ public:
+  explicit FixpointCheck(ConservativeScheduler& inner) : inner_(inner) {}
+
+  bool job_submitted(const Job& job, Time now) override {
+    return checked(inner_.job_submitted(job, now), now);
+  }
+  bool job_finished(JobId id, Time now) override {
+    return checked(inner_.job_finished(id, now), now);
+  }
+  bool job_cancelled(JobId id, Time now) override {
+    return checked(inner_.job_cancelled(id, now), now);
+  }
+  bool job_killed(JobId id, Time now) override {
+    return inner_.job_killed(id, now);
+  }
+  bool node_down(const sim::Outage& outage, Time now) override {
+    return checked(inner_.node_down(outage, now), now);
+  }
+  bool node_up(const sim::Outage& outage, Time now) override {
+    return checked(inner_.node_up(outage, now), now);
+  }
+  [[nodiscard]] Time next_wakeup() override { return inner_.next_wakeup(); }
+  using Scheduler::select_starts;
+  void select_starts(Time now, std::vector<Job>& out) override {
+    inner_.select_starts(now, out);
+    (void)checked(true, now);
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] const SchedulerConfig& config() const override {
+    return inner_.config();
+  }
+  [[nodiscard]] std::size_t queued_count() const override {
+    return inner_.queued_count();
+  }
+  [[nodiscard]] std::size_t running_count() const override {
+    return inner_.running_count();
+  }
+
+  std::uint64_t checks = 0;
+
+ private:
+  bool checked(bool pass_needed, Time now) {
+    for (const AuditReservation& r : inner_.audit_reservations()) {
+      ++checks;
+      const Time earlier = inner_.profile().earlier_anchor(
+          r.procs, r.bb, r.estimate, now, r.start);
+      EXPECT_EQ(earlier, sim::kNoTime)
+          << inner_.name() << ": job " << r.id << " reserved at " << r.start
+          << " could start at " << earlier << " (t=" << now << ")";
+    }
+    return pass_needed;
+  }
+
+  ConservativeScheduler& inner_;
+};
+
+TEST(ConservativeScheduler, CompressionLeavesAFixpointAfterEveryEvent) {
+  // Compression skips jobs without probing them (reserved before the
+  // hole, or wider than any capacity freed since they were anchored).
+  // Hold every skip to the probe: after every event, no queued job of
+  // conservative or slack may have an earlier anchor. Covers R=2 and
+  // actual estimates, cancels, seeded outages with kill-requeue, and
+  // burst buffers.
+  constexpr int kProcs = 32;
+  std::uint64_t skips = 0;
+  for (const bool slack : {false, true})
+    for (const bool actual : {false, true})
+      for (const bool bb : {false, true})
+        for (const bool outages : {false, true}) {
+          const std::uint64_t seed = 7 + (actual ? 1 : 0) + (bb ? 2 : 0);
+          Trace trace = test::random_trace(300, kProcs, seed, false);
+          sim::Rng rng{seed};
+          if (actual) {
+            workload::apply_estimates(trace, workload::ActualEstimateModel{},
+                                      rng);
+          } else {
+            for (Job& job : trace) job.estimate = 2 * job.runtime;
+          }
+          workload::apply_cancellations(trace, 0.1, 2.0 * sim::kHour, rng);
+          SchedulerConfig config{kProcs, PriorityPolicy::Fcfs};
+          if (bb) {
+            test::assign_random_bb(trace, 24, seed);
+            config.burst_buffer = 64;
+          }
+          const sim::FailureTrace failures = sim::generate_failures(
+              {.mean_uptime = 3.0 * sim::kHour,
+               .mean_repair = 1.0 * sim::kHour,
+               .max_procs_lost = 8,
+               .max_bb_lost = bb ? 16 : 0},
+              kProcs, config.burst_buffer, seed);
+          ConservativeScheduler conservative{config};
+          SlackScheduler slack_scheduler{config, 2.0};
+          ConservativeScheduler& inner =
+              slack ? slack_scheduler : conservative;
+          FixpointCheck checked{inner};
+          const SimulationResult result = run_simulation(
+              trace, checked,
+              {.validate = true, .failures = outages ? &failures : nullptr});
+          EXPECT_GT(checked.checks, 1000u) << inner.name();
+          EXPECT_GT(inner.compression_moves(), 0u) << inner.name();
+          if (outages) {
+            EXPECT_GT(result.kills, 0u) << inner.name();
+          }
+          skips += inner.compression_skips();
+        }
+  EXPECT_GT(skips, 0u);
 }
 
 }  // namespace

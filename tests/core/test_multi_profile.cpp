@@ -73,6 +73,17 @@ class BruteProfile {
     }
   }
 
+  /// The most free capacity per axis over [begin, end), by scanning.
+  [[nodiscard]] MultiProfile::Capacity max_free(sim::Time begin,
+                                                sim::Time end) const {
+    MultiProfile::Capacity most;
+    for (sim::Time t = begin; t < end && t <= size(); ++t) {
+      most.procs = std::max(most.procs, procs_free_at(t));
+      most.bb = std::max(most.bb, bb_free_at(t));
+    }
+    return most;
+  }
+
   /// The coalesced segment view the production profile must agree with.
   [[nodiscard]] std::vector<MultiProfile::Segment> segments() const {
     std::vector<MultiProfile::Segment> out;
@@ -139,6 +150,9 @@ TEST_P(MultiProfileOracleTest, RandomOpsMatchPerTimestepOracle) {
           tail_only ? r.b + rng.uniform_int(1, r.e - r.b - 1) : r.b;
       profile.release(from, r.e, r.procs, r.bb);
       oracle.release(from, r.e, r.procs, r.bb);
+      // Compression's width bound reads the freed span this way.
+      ASSERT_EQ(profile.max_free(from, r.e), oracle.max_free(from, r.e))
+          << "[" << from << ", " << r.e << ")";
       if (tail_only) {
         r.e = from;
       } else {
@@ -192,6 +206,9 @@ TEST_P(MultiProfileOracleTest, RandomOpsMatchPerTimestepOracle) {
                 oracle.earliest_anchor(procs, bb, dur, from));
       ASSERT_EQ(profile.fits(procs, bb, from, from + dur),
                 oracle.fits(procs, bb, from, from + dur));
+      ASSERT_EQ(profile.max_free(from, from + dur),
+                oracle.max_free(from, from + dur));
+      ASSERT_EQ(profile.max_free(from, from), MultiProfile::Capacity{});
     }
     expect_matches_oracle(profile, oracle, kFrom + 2 * kDur);
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 
@@ -42,6 +43,43 @@ TEST(Transforms, FinalizeIsStableForTies) {
   finalize(trace);
   for (std::size_t i = 0; i < trace.size(); ++i)
     EXPECT_EQ(trace[i].runtime, static_cast<sim::Time>(i + 1));
+}
+
+TEST(Transforms, FinalizeEqualsStableSortPlusRenumbering) {
+  // finalize skips the sort when the trace is already in submit order;
+  // on sorted, tied and unsorted traces alike it must give what a
+  // stable sort by submit followed by renumbering gives.
+  sim::Rng rng{17};
+  for (int round = 0; round < 60; ++round) {
+    Trace trace;
+    const auto count = static_cast<std::size_t>(rng.uniform_int(0, 40));
+    sim::Time submit = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      Job j;
+      j.id = static_cast<JobId>(rng.uniform_int(0, 1000));
+      // Rounds 0-19 sorted with gaps, 20-39 sorted with many ties,
+      // 40-59 arbitrary order.
+      if (round < 20)
+        submit += rng.uniform_int(0, 50);
+      else if (round < 40)
+        submit += rng.bernoulli(0.7) ? 0 : 1;
+      else
+        submit = rng.uniform_int(0, 30);
+      j.submit = submit;
+      j.runtime = static_cast<sim::Time>(i + 1);  // tells jobs apart
+      j.estimate = j.runtime;
+      trace.push_back(j);
+    }
+    Trace want = trace;
+    std::stable_sort(want.begin(), want.end(),
+                     [](const Job& a, const Job& b) {
+                       return a.submit < b.submit;
+                     });
+    for (std::size_t i = 0; i < want.size(); ++i)
+      want[i].id = static_cast<JobId>(i);
+    finalize(trace);
+    ASSERT_EQ(trace, want) << "round " << round;
+  }
 }
 
 TEST(Transforms, RebaseShiftsToZero) {
